@@ -19,8 +19,10 @@ import pytest
 
 from repro.experiments.config import get_scale
 
-# The API benchmark compares the middleware kernel against the frozen PR 4
-# monolith kept in tests/helpers/legacy_service.py.
+# The test-only oracles in tests/helpers: the API benchmark compares the
+# middleware chain against the frozen serving monolith (legacy_service.py), and
+# the movement microbenchmarks time the GSO kernel against the per-particle
+# loop (gso_reference.py).
 HELPERS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "helpers")
 if HELPERS_DIR not in sys.path:
     sys.path.insert(0, HELPERS_DIR)
@@ -32,15 +34,32 @@ def bench_scale():
     return get_scale(os.environ.get("REPRO_BENCH_SCALE", "small"))
 
 
+#: Where rendered tables land; ignored by git, rewritten on every run.
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+#: Result files already started by this pytest session.
+_STARTED_RESULTS = set()
+
+
+def write_results(name, text):
+    """Print a rendered table and save it to ``benchmarks/results/<name>.txt``.
+
+    The file survives pytest's output capture and holds the latest session
+    only: the first table a session writes under ``name`` replaces the file,
+    later ones (a table and its summary) are appended, so repeated runs never
+    grow it (the directory is git-ignored).
+    """
+    print("\n" + text)
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    mode = "a" if name in _STARTED_RESULTS else "w"
+    _STARTED_RESULTS.add(name)
+    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), mode, encoding="utf-8") as handle:
+        handle.write(text + "\n\n")
 
 
 def attach_rows(benchmark, rows, title):
-    """Store experiment rows on the benchmark record, print them and save them to disk.
-
-    The rendered tables are appended to ``benchmarks/results/<benchmark>.txt`` so the
-    regenerated series survive pytest's output capture.
-    """
+    """Store experiment rows on the benchmark record and write them with
+    :func:`write_results` under the benchmark's name."""
     from repro.experiments.reporting import format_table
 
     if isinstance(rows, dict):
@@ -52,10 +71,4 @@ def attach_rows(benchmark, rows, title):
     else:
         benchmark.extra_info["rows"] = len(rows)
         text = format_table(rows, title=title)
-    print("\n" + text)
-
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    name = getattr(benchmark, "name", None) or "benchmark"
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(text + "\n\n")
+    write_results(getattr(benchmark, "name", None) or "benchmark", text)

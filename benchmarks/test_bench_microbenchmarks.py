@@ -73,7 +73,8 @@ def test_bench_kde_region_mass_batch(benchmark, prepared):
 
 # --------------------------------------------------------------------------- vectorization
 # Before/after benchmarks for the vectorised hot paths: the whole-swarm GSO
-# movement kernel vs. the retained per-particle reference loop, and the
+# movement kernel vs. the per-particle reference loop (the test-side oracle in
+# tests/helpers/gso_reference.py), and the
 # engine's broadcast evaluate_batch vs. the seed's per-region scalar path
 # (one evaluate_vector call per particle, which is what the true-GSO baseline
 # used to pay every iteration).  The speedup tests assert the ISSUE's >= 5x
@@ -108,35 +109,42 @@ def _best_of(slow, fast, rounds=11):
 
 @pytest.fixture(scope="module")
 def swarm_state():
-    """A mid-run swarm snapshot at L=400 with a realistic mix of fitness values."""
+    """A mid-run swarm snapshot at L=400 with a realistic mix of fitness values,
+    plus one optimiser per movement implementation."""
+    from gso_reference import ReferenceGlowwormSwarmOptimizer
+
     from repro.optim.gso import GlowwormSwarmOptimizer, GSOParameters
 
     dim = 4
     rng = np.random.default_rng(0)
     params = GSOParameters(num_particles=GSO_BENCH_PARTICLES, num_iterations=1, random_state=0)
-    optimizer = GlowwormSwarmOptimizer(
-        lambda v: -float(np.sum((v - 0.5) ** 2)),
-        [0.0] * dim,
-        [1.0] * dim,
-        params,
-        batch_objective=lambda m: -np.sum((m - 0.5) ** 2, axis=1),
-    )
+    optimizers = {
+        movement: optimizer_cls(
+            lambda v: -float(np.sum((v - 0.5) ** 2)),
+            [0.0] * dim,
+            [1.0] * dim,
+            params,
+            batch_objective=lambda m: -np.sum((m - 0.5) ** 2, axis=1),
+        )
+        for movement, optimizer_cls in (
+            ("reference", ReferenceGlowwormSwarmOptimizer),
+            ("vectorized", GlowwormSwarmOptimizer),
+        )
+    }
     positions = rng.uniform(size=(GSO_BENCH_PARTICLES, dim))
     luciferin = rng.uniform(1.0, 10.0, size=GSO_BENCH_PARTICLES)
     radii = np.full(GSO_BENCH_PARTICLES, 0.3)
     fitness = -np.sum((positions - 0.5) ** 2, axis=1)
     step = 0.03
     max_radius = 1.0
-    return optimizer, positions, luciferin, radii, fitness, step, max_radius
+    return optimizers, positions, luciferin, radii, fitness, step, max_radius
 
 
 def _movement_timer(swarm_state, movement):
-    optimizer, positions, luciferin, radii, fitness, step, max_radius = swarm_state
+    optimizers, positions, luciferin, radii, fitness, step, max_radius = swarm_state
+    optimizer = optimizers[movement]
 
     def run_once():
-        # The optimizer is shared between the two timers, so the mode has to
-        # be (re)selected on every call, not at closure-creation time.
-        optimizer.movement = movement
         rng = np.random.default_rng(123)
         return optimizer._movement_phase(
             positions, luciferin, radii.copy(), fitness, rng, step, max_radius

@@ -14,7 +14,7 @@ The PR 9 acceptance bounds:
 
 ``REPRO_OBS_OVERHEAD_FLOOR`` relaxes both ceilings on noisy shared runners
 (locally and in the tier-1 driver the acceptance values apply).  The measured
-per-stage latency breakdown is appended to
+per-stage latency breakdown is written to
 ``benchmarks/results/test_bench_obs_stage_breakdown.txt``.
 """
 
@@ -40,8 +40,6 @@ BATCH_QUERIES = 16
 DISTINCT_QUERIES = 4
 #: Rounds of the cached-burst timing loop (median-of-rounds is reported).
 CACHED_ROUNDS = 400
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 def _cached_ceiling() -> float:
@@ -168,7 +166,9 @@ def test_bench_obs_end_to_end_find_overhead(obs_finder, obs_burst):
 
 
 def _write_stage_breakdown(kernel) -> None:
-    """Append the measured per-stage latency medians to the results artifact."""
+    """Write the measured per-stage latency means to the results artifact."""
+    from conftest import write_results
+
     from repro.experiments.reporting import format_table
     from repro.obs import parse_prometheus_text
 
@@ -187,9 +187,7 @@ def _write_stage_breakdown(kernel) -> None:
                     "mean_us": f"{total / count * 1e6:.2f}",
                 }
             )
-    text = format_table(rows, title="per-stage latency breakdown (obs-on cached burst)")
-    print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "test_bench_obs_stage_breakdown.txt")
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(text + "\n\n")
+    write_results(
+        "test_bench_obs_stage_breakdown",
+        format_table(rows, title="per-stage latency breakdown (obs-on cached burst)"),
+    )

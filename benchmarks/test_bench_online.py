@@ -112,31 +112,31 @@ def test_incremental_refresh_speedup_and_rmse_tolerance(drifting_workload):
 
 
 def test_end_to_end_service_refresh_latency(drifting_workload):
-    """The whole service refresh (log drain → train → swap) stays sub-linear in W.
+    """The whole kernel refresh (log drain → train → swap) stays sub-linear in W.
 
     Not a strict floor — just a guard that the hot-swap machinery (cursoring,
     satisfiability merge, finder rebuild) adds only small overhead on top of
     the incremental training cost measured above.
     """
+    from repro.api import ServiceKernel
     from repro.core.finder import SuRF
-    from repro.serve.service import SuRFService
 
     trainer, _, workload, fresh, _ = drifting_workload
     finder = SuRF(trainer=trainer, use_density_guidance=False, random_state=0)
     finder.fit(workload)
-    service = SuRFService(
+    kernel = ServiceKernel(
         finder,
         query_log=QueryLog(capacity=100_000),
         incremental_trainer=IncrementalTrainer.from_finder(
             finder, warm_start_rounds=WARM_ROUNDS, full_refit_on_drift=False
         ),
     )
-    service.observe_many(list(fresh))
+    kernel.observe_many(list(fresh))
 
     incremental_seconds = min(
         timeit.repeat(
             lambda: trainer.train_incremental(
-                service.finder.surrogate_, workload.merged_with(fresh), extra_rounds=WARM_ROUNDS
+                kernel.finder.surrogate_, workload.merged_with(fresh), extra_rounds=WARM_ROUNDS
             ),
             number=1,
             repeat=3,
@@ -145,14 +145,14 @@ def test_end_to_end_service_refresh_latency(drifting_workload):
     import time
 
     start = time.perf_counter()
-    outcome = service.refresh()
+    outcome = kernel.refresh()
     refresh_seconds = time.perf_counter() - start
 
     print(
-        f"\nservice.refresh(): {refresh_seconds * 1e3:.0f} ms total for "
+        f"\nkernel.refresh(): {refresh_seconds * 1e3:.0f} ms total for "
         f"{outcome.num_new_pairs} pairs (training alone: {incremental_seconds * 1e3:.0f} ms)"
     )
     assert outcome.mode == "incremental"
-    assert service.generation == 1
+    assert kernel.generation == 1
     # Swap overhead (everything that is not training) stays small.
     assert refresh_seconds < 3.0 * incremental_seconds + 0.5

@@ -10,7 +10,7 @@ all four :mod:`repro.backends` implementations and shows that:
    ``WHERE`` scans, ``sharded`` parallel shards);
 2. a surrogate trained against one backend serves queries identically no
    matter which backend ground-truths the proposals — here the
-   ``SuRFService`` harvests its query log through a *sharded* exact engine;
+   ``ServiceKernel`` harvests its query log through a *sharded* exact engine;
 3. backend choice is a capability decision (out-of-core? parallel? SQL?),
    not a correctness decision.
 
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro import RegionQuery, SuRF, SuRFService
+from repro import RegionQuery, ServiceKernel, SuRF
 from repro.data import DataEngine, make_crimes_like
 from repro.data.statistics import CountStatistic
 from repro.experiments.reporting import format_table
@@ -77,15 +77,15 @@ def main() -> None:
     )
     threshold = float(np.quantile(engines["numpy"].statistic_sample(100, random_state=1), 0.75))
     log = QueryLog(capacity=1_000)
-    service = SuRFService(finder, query_log=log, exact_engine=engines["sharded"])
-    response = service.find_regions(RegionQuery(threshold=threshold, direction="above"))
+    kernel = ServiceKernel(finder, query_log=log, exact_engine=engines["sharded"])
+    response = kernel.handle(RegionQuery(threshold=threshold, direction="above"))
     assert response.status == "served" and response.proposals
-    assert service.stats.harvested == len(response.proposals)
+    assert kernel.stats.harvested == len(response.proposals)
     harvested = log.since(0)[0]
     exact = engines["chunked"].evaluate_many([pair.region for pair in harvested])
     assert np.array_equal(exact, np.asarray([pair.value for pair in harvested]))
     print(
-        f"served {len(response.proposals)} proposals; {service.stats.harvested} pairs "
+        f"served {len(response.proposals)} proposals; {kernel.stats.harvested} pairs "
         "ground-truthed through the sharded backend and verified bit-identical "
         "against the chunked backend"
     )

@@ -5,11 +5,11 @@ The paper trains the surrogate on "pairs ``([x, l], y)`` harvested from the
 query log" — a loop this example runs end to end:
 
 1. **Offline**: fit a ``SuRF`` finder on ``W = 1,000`` past evaluations of a
-   base distribution and wrap it in a ``SuRFService`` wired to a ``QueryLog``.
+   base distribution and serve it from a ``ServiceKernel`` wired to a ``QueryLog``.
 2. **Drift**: the deployment's traffic shifts to a *different* distribution
    (here: the planted density clusters move); 500 exact evaluations from the
    drifted world are observed into the log.
-3. **Refresh**: ``service.refresh()`` folds the logged pairs into the
+3. **Refresh**: ``kernel.refresh()`` folds the logged pairs into the
    surrogate — warm-start rounds normally, a full refit when the rolling
    residual monitor says the model has drifted — refreshes the Eq. 5
    satisfiability CDF from the enlarged sample, and **hot-swaps** the new
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import QueryLog, RegionQuery, SuRF, SuRFService
+from repro import QueryLog, RegionQuery, ServiceKernel, SuRF
 from repro.data import DataEngine, make_synthetic_dataset
 from repro.experiments.reporting import format_table
 from repro.optim.gso import GSOParameters
 from repro.surrogate.workload import generate_workload
 
 
-def build_service() -> SuRFService:
+def build_kernel() -> ServiceKernel:
     """The offline phase: W = 1,000 past evaluations of the base distribution."""
     base = make_synthetic_dataset(
         statistic="density", dim=2, num_regions=1, num_points=6_000, random_state=3
@@ -47,21 +47,21 @@ def build_service() -> SuRFService:
     )
     finder.fit(workload)
     print(f"offline: surrogate trained on W={finder.workload_size_} base-distribution pairs")
-    return SuRFService(finder, query_log=QueryLog(capacity=100_000))
+    return ServiceKernel(finder, query_log=QueryLog(capacity=100_000))
 
 
 def main() -> None:
-    service = build_service()
+    kernel = build_kernel()
 
     # A refresh before anything was logged is a strict no-op: nothing swaps,
     # the cache survives, serving stays bit-identical.
     query = RegionQuery(
-        threshold=service.finder.satisfiability_.quantile(0.75), direction="above"
+        threshold=kernel.finder.satisfiability_.quantile(0.75), direction="above"
     )
-    cold = service.find_regions(query)
-    noop = service.refresh()
-    warm = service.find_regions(query)
-    assert noop.mode == "noop" and service.generation == 0, noop
+    cold = kernel.handle(query)
+    noop = kernel.refresh()
+    warm = kernel.handle(query)
+    assert noop.mode == "noop" and kernel.generation == 0, noop
     assert warm.status == "cached" and warm.result is cold.result, warm
     print(f"no new pairs: refresh is a no-op (mode={noop.mode!r}, cache intact)")
 
@@ -74,14 +74,14 @@ def main() -> None:
     drifted_engine = DataEngine(drifted.dataset, drifted.statistic)
     observed = generate_workload(drifted_engine, num_evaluations=500, random_state=1)
     holdout = generate_workload(drifted_engine, num_evaluations=400, random_state=2)
-    service.observe_many(list(observed))
-    print(f"drift: {service.pending_log_entries} exact drifted-world pairs logged")
+    kernel.observe_many(list(observed))
+    print(f"drift: {kernel.pending_log_entries} exact drifted-world pairs logged")
 
-    rmse_before = service.finder.surrogate_.rmse(holdout.features, holdout.targets)
-    samples_before = service.finder.satisfiability_.num_samples
-    workload_before = service.finder.workload_size_
-    outcome = service.refresh()
-    rmse_after = service.finder.surrogate_.rmse(holdout.features, holdout.targets)
+    rmse_before = kernel.finder.surrogate_.rmse(holdout.features, holdout.targets)
+    samples_before = kernel.finder.satisfiability_.num_samples
+    workload_before = kernel.finder.workload_size_
+    outcome = kernel.refresh()
+    rmse_after = kernel.finder.surrogate_.rmse(holdout.features, holdout.targets)
 
     rows = [
         {"metric": "refresh mode", "value": outcome.mode},
@@ -90,33 +90,33 @@ def main() -> None:
         {"metric": "training workload", "value": f"{workload_before} -> {outcome.workload_size}"},
         {
             "metric": "Eq. 5 CDF sample",
-            "value": f"{samples_before} -> {service.finder.satisfiability_.num_samples}",
+            "value": f"{samples_before} -> {kernel.finder.satisfiability_.num_samples}",
         },
         {"metric": "holdout RMSE (drifted region)", "value": f"{rmse_before:.1f} -> {rmse_after:.1f}"},
         {"metric": "refresh wall clock", "value": f"{outcome.seconds * 1e3:.0f} ms"},
-        {"metric": "model generation", "value": service.generation},
+        {"metric": "model generation", "value": kernel.generation},
     ]
     print(format_table(rows, title="\nserve -> log -> refresh -> swap"))
 
     # The acceptance gate: folding harvested pairs must measurably improve the
     # surrogate where the traffic actually lives now.
     assert outcome.mode in ("incremental", "full"), outcome
-    assert service.generation == 1
+    assert kernel.generation == 1
     assert np.isfinite(rmse_after)
     assert rmse_after < 0.9 * rmse_before, (
         f"refresh did not measurably improve drifted-region RMSE: "
         f"{rmse_before:.2f} -> {rmse_after:.2f}"
     )
 
-    # And the refreshed service keeps serving: the swapped-in satisfiability
+    # And the refreshed kernel keeps serving: the swapped-in satisfiability
     # model knows the drifted statistic range, the swarm the enlarged space.
-    response = service.find_regions(
-        RegionQuery(threshold=service.finder.satisfiability_.quantile(0.75), direction="above")
+    response = kernel.handle(
+        RegionQuery(threshold=kernel.finder.satisfiability_.quantile(0.75), direction="above")
     )
     assert response.status == "served" and response.proposals, response
     print(
         f"\npost-swap serving OK: {len(response.proposals)} proposals, "
-        f"stats={service.stats.as_dict()}"
+        f"stats={kernel.stats.as_dict()}"
     )
     improvement = 100.0 * (1.0 - rmse_after / rmse_before)
     print(f"online refresh improved drifted-region RMSE by {improvement:.0f}%")

@@ -8,10 +8,13 @@ This example walks the deployment story the paper's Table I motivates:
    density model, Eq. 5 satisfiability model, configuration — to a single
    artifact bundle with ``finder.save(path)``.
 2. **Online** (the serving host): load the bundle with
-   ``SuRFService.from_bundle`` — no data, no engine, no training — and serve
+   ``ServiceKernel.from_bundle`` — no data, no engine, no training — and serve
    threshold queries with result caching, Eq. 5 rejection of hopeless
    thresholds, and coalesced multi-query batches.
 
+The script asserts the serving contract as it goes (a cold query is
+``served``, its repeat ``cached`` without a second GSO run, and a hopeless
+threshold ``rejected``), so it doubles as the bundle + serving smoke check.
 Run with ``python examples/serving.py``.
 """
 
@@ -21,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import RegionQuery, SuRF, SuRFService
+from repro import RegionQuery, ServiceKernel, SuRF
 from repro.data import DataEngine, make_synthetic_dataset
 from repro.experiments.reporting import format_table
 from repro.optim.gso import GSOParameters
@@ -51,8 +54,8 @@ def train_and_save(bundle_path: Path) -> None:
 
 def serve_from_bundle(bundle_path: Path) -> None:
     """The online phase: everything below runs without touching the data."""
-    service = SuRFService.from_bundle(bundle_path, cache_size=64)
-    model = service.finder.satisfiability_
+    kernel = ServiceKernel.from_bundle(bundle_path, cache_size=64)
+    model = kernel.finder.satisfiability_
 
     # Thresholds chosen from the Eq. 5 statistic CDF, like the paper's Q3 pick.
     q3 = RegionQuery(threshold=model.quantile(0.75), direction="above")
@@ -60,12 +63,14 @@ def serve_from_bundle(bundle_path: Path) -> None:
     hopeless = RegionQuery(threshold=model.quantile(1.0) * 10, direction="above")
 
     rows = []
-    for label, query in [
-        ("cold (GSO runs)", q3),
-        ("repeat (cache hit)", q3),
-        ("rejected (Eq. 5)", hopeless),
+    for label, query, expected in [
+        ("cold (GSO runs)", q3, "served"),
+        ("repeat (cache hit)", q3, "cached"),
+        ("rejected (Eq. 5)", hopeless, "rejected"),
     ]:
-        response = service.find_regions(query)
+        response = kernel.handle(query)
+        assert response.status == expected, (label, response)
+        assert bool(response.proposals) == (expected != "rejected"), (label, response)
         rows.append(
             {
                 "request": label,
@@ -76,12 +81,13 @@ def serve_from_bundle(bundle_path: Path) -> None:
             }
         )
     print(format_table(rows, title="\nsingle-query serving"))
+    assert kernel.stats.gso_runs == 1, kernel.stats
 
     # A burst of concurrent analyst traffic: repeated thresholds dominate, so
     # coalescing + caching answer 12 queries with only one new GSO run.
     burst = [q3, q9, q3, hopeless, q9, q3, q9, q3, q9, q3, hopeless, q9]
     start = time.perf_counter()
-    responses = service.find_regions_batch(burst)
+    responses = kernel.handle_batch(burst)
     batch_seconds = time.perf_counter() - start
     statuses = {status: sum(1 for r in responses if r.status == status) for status in ("served", "cached", "rejected")}
     print(
@@ -89,9 +95,9 @@ def serve_from_bundle(bundle_path: Path) -> None:
         f"({len(burst) / batch_seconds:.1f} queries/s): {statuses}"
     )
 
-    stats = service.stats
+    stats = kernel.stats
     print(
-        f"service stats: {stats.queries} queries, {stats.gso_runs} GSO runs, "
+        f"kernel stats: {stats.queries} queries, {stats.gso_runs} GSO runs, "
         f"{stats.cache_hits} cache hits, {stats.coalesced} coalesced, "
         f"{stats.rejected} rejected, hit rate {stats.hit_rate:.0%}"
     )

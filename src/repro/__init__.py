@@ -9,12 +9,10 @@ The public API re-exports the pieces most users need:
   kernel (:class:`repro.ServiceKernel`) with multi-tenant routing
   (:class:`repro.ModelRegistry`) and declarative plugin registries for
   statistics, backends, surrogate families and optimisers,
-* :class:`repro.SuRFService` — the historical serving front-end, now a thin
-  backward-compatible shim over the kernel,
 * the online learning loop (:mod:`repro.online`) — :class:`repro.QueryLog`
   harvesting, :class:`repro.IncrementalTrainer` warm-start refreshes with a
   :class:`repro.DriftMonitor`-guarded full-refit fallback, and hot-swap
-  serving via ``SuRFService.refresh`` / :class:`repro.RefreshPolicy`,
+  serving via ``ServiceKernel.refresh`` / :class:`repro.RefreshPolicy`,
 * the data substrate (:mod:`repro.data`) with pluggable scan backends
   (:mod:`repro.backends` — in-memory NumPy, out-of-core memory-mapped chunks,
   SQLite, sharded parallel evaluation), the surrogate layer
@@ -40,6 +38,7 @@ from repro.api import (
     ModelRegistry,
     ProposalPayload,
     ServiceKernel,
+    ServiceStats,
 )
 from repro.backends import (
     ChunkedBackend,
@@ -59,7 +58,6 @@ from repro.data.dataset import Dataset
 from repro.data.engine import DataEngine
 from repro.data.regions import Region
 from repro.online import DriftMonitor, IncrementalTrainer, QueryLog, RefreshOutcome, RefreshPolicy
-from repro.serve.service import ServiceResponse, ServiceStats, SuRFService
 from repro.surrogate.training import SurrogateTrainer
 from repro.surrogate.workload import RegionWorkload, generate_workload
 
@@ -89,8 +87,6 @@ __all__ = [
     "ProposalPayload",
     "ServiceKernel",
     "ModelRegistry",
-    "SuRFService",
-    "ServiceResponse",
     "ServiceStats",
     "QueryLog",
     "DriftMonitor",

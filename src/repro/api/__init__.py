@@ -14,9 +14,8 @@ composable layers:
    (``Normalize → SatisfiabilityGate → Cache → Coalesce → Execute →
    Harvest`` by default); deployments insert rate limiting, metrics or
    tracing without touching the core.  Batch coalescing and the
-   generation-tagged cache semantics of the historical ``SuRFService`` are
-   preserved bit-identically (``SuRFService`` itself survives as a thin shim
-   over :class:`ServiceKernel`).
+   generation-tagged cache semantics of the original serving monolith are
+   preserved bit-identically.
 3. **Multi-tenant routing** (:mod:`repro.api.tenancy`) — a
    :class:`ModelRegistry` hosts many named finders (dataset × statistic
    tenants), routes requests by model name and drives per-model

@@ -4,9 +4,7 @@ Every query entering the system is a frozen :class:`FindRequest` and every
 answer leaving it is a frozen :class:`FindResponse`.  Both round-trip through
 plain dicts and JSON (``to_dict``/``from_dict``, ``to_json``/``from_json``),
 so HTTP front-ends, queues and log pipelines can carry them without knowing
-anything about the library's internals.  The envelopes replace the ad-hoc
-``(query, status, ...)`` tuples and the serve layer's ``ServiceResponse``
-(which survives as a thin compatibility view in :mod:`repro.serve`).
+anything about the library's internals.
 
 A request names the **model** (tenant) it targets — a key in the
 :class:`~repro.api.tenancy.ModelRegistry` — plus an optional caller-supplied
@@ -150,8 +148,7 @@ class FindRequest:
         """Unvalidated construction from known-good parts (serving hot path).
 
         Callers guarantee ``query`` is a live :class:`RegionQuery` and
-        ``model`` a validated tenant name — the serving shim wraps every
-        incoming query through here on cached hits.
+        ``model`` a validated tenant name; nothing is re-checked.
         """
         self = object.__new__(cls)
         set_ = object.__setattr__

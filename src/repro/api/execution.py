@@ -7,8 +7,9 @@ pool for a **persistent** :class:`concurrent.futures.ProcessPoolExecutor`:
 
 * the fitted finder — compiled surrogate SoA tables included — is pickled
   **once per worker per model generation** through the pool initializer, not
-  per task; each task ships only the tiny ``(query, max_proposals)`` pair and
-  receives the pickled :class:`~repro.core.finder.RegionSearchResult` back;
+  per task; each task ships only the tiny ``(query, max_proposals)`` pair
+  (plus a fresh profile hook when observability is on) and receives the
+  pickled :class:`~repro.core.finder.RegionSearchResult` back;
 * a hot swap (generation bump) is detected on the next batch and the pool is
   rebuilt against the new finder — in-flight tasks on the old pool finish on
   the generation they started with, exactly like the thread path;
@@ -43,11 +44,10 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from repro.api.middleware import BatchContext, Execute, _obs_of
+from repro.api.middleware import BatchContext, Execute, _obs_of, run_query
 from repro.exceptions import ValidationError
 
 # Worker-process global: the finder installed by the pool initializer.  Each
@@ -60,26 +60,14 @@ def _install_worker_finder(payload: bytes) -> None:
     _WORKER_FINDER = pickle.loads(payload)
 
 
-def _run_worker_query(query, max_proposals, obs_spec=None):
-    """One run in a worker process.
+def _run_worker_query(query, max_proposals, hook):
+    """One :func:`~repro.api.middleware.run_query` against the worker's finder.
 
-    ``obs_spec`` is ``(model_name, gso_profile)`` when the parent kernel has
-    observability on: the run is counted into a worker-local metrics registry
-    whose snapshot rides back with the result (a 3-tuple) and is merged into
-    the parent's registry — counters add, so no increment is lost crossing
-    the process boundary.
+    ``hook`` is the parent's fresh per-run profile (pickled along with the
+    task) or ``None``; its summary rides back in the outcome, and the parent
+    counts the run from the returned result exactly as for a thread run.
     """
-    start = time.perf_counter()
-    if obs_spec is None:
-        result = _WORKER_FINDER.find_regions(query, max_proposals=max_proposals)
-        return result, time.perf_counter() - start
-    from repro.obs.runtime import worker_run_delta
-
-    model, profile_on = obs_spec
-    result, extra = worker_run_delta(
-        _WORKER_FINDER, query, max_proposals, model, profile_on
-    )
-    return result, time.perf_counter() - start, extra
+    return run_query(_WORKER_FINDER, query, max_proposals, hook)
 
 
 class ProcessExecute(Execute):
@@ -155,11 +143,9 @@ class ProcessExecute(Execute):
                     _run_worker_query,
                     key_[0],
                     key_[1],
-                    (ctx.states[indices[0]].request.model, obs.gso_profile)
-                    if obs is not None
-                    else None,
+                    obs.run_profiler() if obs is not None else None,
                 )
-                for key_, indices in runnable
+                for key_, _indices in runnable
             ]
 
         def finish(stalled: bool) -> None:

@@ -3,19 +3,17 @@
 A :class:`ServiceKernel` hosts **one** fitted
 :class:`~repro.core.finder.SuRF` behind the composable middleware chain of
 :mod:`repro.api.middleware` and answers typed
-:class:`~repro.api.envelopes.FindRequest` envelopes.  It owns everything the
-PR 2–4 ``SuRFService`` monolith owned — the LRU result cache, the Eq. 5 gate
-threshold, the serving counters, the query log, and the online-learning
-refresh/hot-swap machinery — but the per-request pipeline itself is pluggable:
-pass ``middleware=[...]`` to insert rate limiting, metrics or tracing without
-touching this file.  Multi-tenant deployments host many kernels behind a
-:class:`~repro.api.tenancy.ModelRegistry`.
+:class:`~repro.api.envelopes.FindRequest` envelopes.  It owns the LRU result
+cache, the Eq. 5 gate threshold, the serving counters, the query log, and the
+online-learning refresh/hot-swap machinery, while the per-request pipeline
+itself is pluggable: pass ``middleware=[...]`` to insert rate limiting,
+metrics or tracing without touching this file.  Multi-tenant deployments host
+many kernels behind a :class:`~repro.api.tenancy.ModelRegistry`.
 
-``SuRFService`` (:mod:`repro.serve.service`) survives as a thin
-backward-compatible shim over this kernel; its serving semantics — batch
-coalescing, generation-tagged caching, shared-generator fallback, harvest
-counters — are preserved bit-identically (asserted against a frozen copy of
-the PR 4 monolith by ``tests/property/test_property_api.py``).
+Its serving semantics (batch coalescing, generation-tagged caching,
+shared-generator fallback, harvest counters) are bit-identical to the
+original serving monolith, asserted against a frozen copy of it by
+``tests/property/test_property_api.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.api.middleware import (
     Middleware,
     compose,
     default_chain,
-    normalize_query,
 )
 from repro.core.finder import RegionSearchResult, SuRF
 from repro.core.query import RegionQuery, SolutionSpace
@@ -158,7 +155,7 @@ _STAT_COUNTER_FIELDS = (
 
 
 #: The constructor options a kernel accepts besides the finder itself; shared
-#: with ``SuRFService.from_bundle`` / ``ModelRegistry.load`` kwarg validation.
+#: with ``ModelRegistry.register`` / ``ModelRegistry.load`` kwarg validation.
 KERNEL_OPTIONS = (
     "cache_size",
     "min_satisfiability",
@@ -177,9 +174,9 @@ KERNEL_OPTIONS = (
 def check_service_options(kwargs: dict, *, allowed: Sequence[str] = KERNEL_OPTIONS, where: str) -> None:
     """Reject unknown service options by name (instead of a late ``TypeError``).
 
-    ``SuRFService.from_bundle(path, cache_sz=9)`` used to fail only after the
-    bundle was loaded, with a generic ``TypeError``; this names the offending
-    key up front and lists the valid ones.
+    ``ServiceKernel.from_bundle(path, cache_sz=9)`` would otherwise fail only
+    after the bundle was loaded, with a generic ``TypeError``; this names the
+    offending key up front and lists the valid ones.
     """
     unknown = sorted(set(kwargs) - set(allowed))
     if unknown:
@@ -212,8 +209,12 @@ class ServiceKernel:
         Default thread-pool width for batch execution (``None`` picks
         ``min(num distinct queries, cpu count)`` per batch).
     query_log / incremental_trainer / exact_engine:
-        The online-learning loop wiring; see
-        :class:`repro.serve.service.SuRFService` — semantics are identical.
+        The online-learning loop wiring: a :class:`~repro.online.QueryLog`
+        the kernel harvests into and refreshes from, an optional pre-built
+        :class:`~repro.online.IncrementalTrainer` (one is derived from the
+        finder on the first :meth:`refresh` otherwise), and an exact engine
+        that ground-truths every served proposal into the log (requires
+        ``query_log``).
     middleware:
         The middleware chain to run every batch through; defaults to
         :func:`repro.api.middleware.default_chain`.  Order matters: the first
@@ -637,9 +638,6 @@ class ServiceKernel:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ misc
-    normalize_query = staticmethod(normalize_query)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

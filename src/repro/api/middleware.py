@@ -240,6 +240,19 @@ def _obs_of(ctx: BatchContext):
     return extras.get("obs"), extras.get("obs_trace")
 
 
+def run_query(finder: SuRF, query: RegionQuery, max_proposals: Optional[int], hook):
+    """Execute one optimiser run; every executor (inline, thread, process) calls this.
+
+    ``hook`` is a per-run profile (:class:`repro.obs.GSORunProfile`) or
+    ``None``.  Returns ``(result, seconds, profile)`` where ``profile`` is the
+    hook's summary, or ``None`` without a hook.
+    """
+    start = time.perf_counter()
+    result = finder.find_regions(query, max_proposals=max_proposals, profile_hook=hook)
+    seconds = time.perf_counter() - start
+    return result, seconds, hook.summary() if hook is not None else None
+
+
 # --------------------------------------------------------------------------- stages
 class Normalize:
     """Canonicalise every request's query (the cache-key form).
@@ -446,31 +459,23 @@ class Execute:
     def _launch(self, ctx: BatchContext, runnable):
         """Submit every runnable ``(key, indices)`` item; return (futures, finish).
 
-        ``finish(stalled)`` is called once all outcomes are collected;
-        ``stalled`` is True when at least one run was abandoned past its
-        deadline, in which case the pool must not block on it.
+        Each future resolves to :func:`run_query`'s ``(result, seconds,
+        profile)``.  ``finish(stalled)`` is called once all outcomes are
+        collected; ``stalled`` is True when at least one run was abandoned
+        past its deadline, in which case the pool must not block on it.
         """
         workers = self._workers_for(ctx, len(runnable))
         pool = ThreadPoolExecutor(max_workers=max(1, workers))
-        finder = ctx.finder
         obs, _recorder = _obs_of(ctx)
-
-        def run_one(query, max_proposals):
-            run_start = time.perf_counter()
-            hook = obs.run_profiler(finder) if obs is not None else None
-            if hook is not None:
-                result = finder.find_regions(
-                    query, max_proposals=max_proposals, profile_hook=hook
-                )
-            else:
-                result = finder.find_regions(query, max_proposals=max_proposals)
-            seconds = time.perf_counter() - run_start
-            if hook is not None:
-                return result, seconds, hook.summary()
-            return result, seconds
-
         futures = [
-            pool.submit(run_one, key[0], key[1]) for key, _indices in runnable
+            pool.submit(
+                run_query,
+                ctx.finder,
+                key[0],
+                key[1],
+                obs.run_profiler() if obs is not None else None,
+            )
+            for key, _indices in runnable
         ]
 
         def finish(stalled: bool) -> None:
@@ -545,30 +550,19 @@ class Execute:
 
     def _run_inline(self, ctx, runnable, clock, give_up, runs, timeouts, errors):
         """Sequential execution (single worker / single distinct query)."""
-        finder = ctx.finder
         obs, recorder = _obs_of(ctx)
         for key, indices in runnable:
             query, max_proposals = key
-            hook = obs.run_profiler(finder) if obs is not None else None
-            run_start = time.perf_counter()
+            hook = obs.run_profiler() if obs is not None else None
             try:
-                if hook is not None:
-                    result = finder.find_regions(
-                        query, max_proposals=max_proposals, profile_hook=hook
-                    )
-                else:
-                    result = finder.find_regions(query, max_proposals=max_proposals)
+                result, seconds, profile = run_query(ctx.finder, query, max_proposals, hook)
             except Exception as exc:  # noqa: BLE001 - isolated per request
                 give_up(key, indices, "error", f"{type(exc).__name__}: {exc}")
                 errors += len(indices)
                 continue
             runs += 1
-            seconds = time.perf_counter() - run_start
             if obs is not None:
-                self._record_run(
-                    ctx, obs, recorder, indices, result, seconds,
-                    hook.summary() if hook is not None else None,
-                )
+                self._record_run(ctx, obs, recorder, indices, result, seconds, profile)
             timeouts += self._deliver(ctx, key, indices, result, seconds, clock)
         return runs, timeouts, errors
 
@@ -585,10 +579,7 @@ class Execute:
             if deadlines and all(deadline is not None for deadline in deadlines):
                 wait_seconds = max(0.0, max(deadlines) - clock())
             try:
-                # Workers return ``(result, seconds)`` or, when observability
-                # is on, ``(result, seconds, extra)`` — a profile summary from
-                # a thread worker, or a metrics-delta dict from a process one.
-                outcome = future.result(timeout=wait_seconds)
+                result, seconds, profile = future.result(timeout=wait_seconds)
             except FuturesTimeoutError:
                 future.cancel()
                 stalled = True
@@ -600,32 +591,16 @@ class Execute:
                 errors += len(indices)
                 self._note_failure(exc)
                 continue
-            result, seconds = outcome[0], outcome[1]
-            extra = outcome[2] if len(outcome) > 2 else None
             runs += 1
             if obs is not None:
-                profile = extra
-                merged = False
-                if isinstance(extra, dict) and "metrics" in extra:
-                    # A process worker already counted its run into a local
-                    # registry; merging the snapshot adds those increments
-                    # here, so the parent must not count the run again.
-                    obs.metrics.merge(extra["metrics"])
-                    profile = extra.get("profile")
-                    merged = True
-                self._record_run(
-                    ctx, obs, recorder, indices, result, seconds, profile, merged=merged
-                )
+                self._record_run(ctx, obs, recorder, indices, result, seconds, profile)
             timeouts += self._deliver(ctx, key, indices, result, seconds, clock)
         finish(stalled)
         return runs, timeouts, errors
 
-    def _record_run(
-        self, ctx, obs, recorder, indices, result, seconds, profile, merged=False
-    ) -> None:
+    def _record_run(self, ctx, obs, recorder, indices, result, seconds, profile) -> None:
         """Count one finished optimiser run and attach its span."""
-        if not merged:
-            obs.record_gso_run(ctx.states[indices[0]].request.model, result, profile)
+        obs.record_gso_run(ctx.states[indices[0]].request.model, result, profile)
         if recorder is not None:
             recorder.run_span(indices, seconds, result, profile)
 
@@ -717,6 +692,7 @@ __all__ = [
     "compose",
     "default_chain",
     "normalize_query",
+    "run_query",
     "Normalize",
     "SatisfiabilityGate",
     "Cache",

@@ -25,7 +25,6 @@ expects).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.envelopes import FindRequest, FindResponse
@@ -167,10 +166,10 @@ class ModelRegistry:
         Requests are grouped by model name and each group goes through its
         kernel's chain as one batch, so per-tenant coalescing, caching and
         parallel execution behave exactly as a single-tenant batch would.
-        Tenant groups are independent (no shared locks, caches or RNG
-        streams), so multi-group batches serve **concurrently** — one slow
-        tenant does not serialise the others; ``max_workers`` is forwarded to
-        each kernel's own execution pool.
+        Groups are served one after another on the calling thread, in order
+        of each tenant's first request; ``max_workers`` is forwarded to each
+        kernel's own execution pool, which is where a group's distinct runs
+        overlap.
         """
         groups: Dict[str, List[int]] = {}
         for index, request in enumerate(requests):
@@ -183,22 +182,12 @@ class ModelRegistry:
         # fails the whole batch up front instead of half-serving it.
         kernels = {name: self.get(name) for name in groups}
         responses: List[Optional[FindResponse]] = [None] * len(requests)
-
-        def serve_group(item) -> None:
-            name, indices = item
+        for name, indices in groups.items():
             batch = kernels[name].handle_batch(
                 [requests[index] for index in indices], max_workers=max_workers
             )
             for index, response in zip(indices, batch):
                 responses[index] = response
-
-        if len(groups) <= 1:
-            for item in groups.items():
-                serve_group(item)
-        else:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                # list() re-raises the first group's exception, if any.
-                list(pool.map(serve_group, groups.items()))
         return responses  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ online learning

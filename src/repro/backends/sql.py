@@ -18,7 +18,7 @@ in row order — and reduce them with the statistic's own NumPy kernel.
 SQLite stores ``REAL`` as IEEE-754 doubles and Python binds floats losslessly,
 so the range comparisons decide every row exactly as NumPy does.  One
 connection is shared across threads behind a lock (``sqlite3`` connections
-are not concurrency-safe), which lets a served :class:`~repro.serve.service.SuRFService`
+are not concurrency-safe), which lets a served :class:`~repro.api.ServiceKernel`
 ground-truth proposals against a SQL-resident engine from its worker pool.
 """
 

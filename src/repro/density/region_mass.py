@@ -25,7 +25,7 @@ class RegionMassEstimator:
     """Estimates ``∫_{x-l}^{x+l} p_A(a) da`` for candidate regions.
 
     After ``fit``, every query method is read-only; the serving layer
-    (:mod:`repro.serve`) relies on this to share one fitted estimator across
+    (:mod:`repro.api`) relies on this to share one fitted estimator across
     concurrently executing GSO runs without locking.
 
     Parameters

@@ -30,48 +30,26 @@ order (sequential ``out += learning_rate * tree_prediction`` for boosting,
 ``stacked.mean(axis=0)`` for forests).  ``tests/unit/test_compiled.py`` and
 ``tests/property/test_property_compiled.py`` hold ``np.array_equal`` across
 families, hyper-parameters and warm-start rounds.
-
-An optional numba JIT path (per-row ``while`` loops, parallel over trees) can
-be enabled with ``REPRO_COMPILED_JIT=1`` or ``CompiledPredictor(jit=True)``;
-when numba is not installed the flag silently falls back to the numpy kernel,
-so deployments never grow a hard dependency.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.ml.base import BaseEstimator
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor, _Node
 from repro.utils.validation import check_array
 
-try:  # pragma: no cover - numba is an optional accelerator, absent in CI
-    import numba as _numba
-except ImportError:  # pragma: no cover
-    _numba = None
-
-#: Environment flag enabling the numba JIT traversal (silently ignored when
-#: numba is not installed).
-JIT_ENV_FLAG = "REPRO_COMPILED_JIT"
-
 #: Rows per traversal chunk.  The level-synchronous kernel materialises
 #: ``(num_trees, chunk)`` temporaries; chunking keeps them cache-resident on
 #: large serving batches without changing any per-row result (each row's
 #: traversal and aggregation order is independent of its neighbours).
 DEFAULT_CHUNK_SIZE = 1024
-
-
-def _jit_enabled(jit: Optional[bool]) -> bool:
-    """Resolve the JIT request: explicit argument wins, else the env flag."""
-    if jit is None:
-        jit = os.environ.get(JIT_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-    return bool(jit) and _numba is not None
 
 
 def _flatten_tree(root: _Node, arrays: "_NodeArrays") -> Tuple[int, int]:
@@ -132,10 +110,6 @@ class CompiledPredictor:
         Anything else — including an unfitted instance — raises
         :class:`~repro.exceptions.ValidationError`; probe with
         :meth:`compilable` first.
-    jit:
-        ``True`` forces the numba traversal (silently falling back to numpy
-        when numba is missing), ``False`` forces numpy, ``None`` (default)
-        consults the ``REPRO_COMPILED_JIT`` environment flag.
     chunk_size:
         Rows per traversal chunk (see :data:`DEFAULT_CHUNK_SIZE`).
 
@@ -144,7 +118,7 @@ class CompiledPredictor:
     mutates (or references) the estimator it was compiled from.
     """
 
-    def __init__(self, estimator: BaseEstimator, jit: Optional[bool] = None, chunk_size: int = DEFAULT_CHUNK_SIZE):
+    def __init__(self, estimator: BaseEstimator, chunk_size: int = DEFAULT_CHUNK_SIZE):
         if int(chunk_size) < 1:
             raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
         roots_nodes, aggregation, base, weight, num_features = self._extract(estimator)
@@ -186,7 +160,6 @@ class CompiledPredictor:
         self._weight = float(weight)
         self._num_features = int(num_features)
         self._chunk_size = int(chunk_size)
-        self._jit = _jit_enabled(jit)
 
     # ------------------------------------------------------------------ construction
     SUPPORTED = (DecisionTreeRegressor, RandomForestRegressor, GradientBoostingRegressor)
@@ -250,11 +223,6 @@ class CompiledPredictor:
         """How per-tree leaves combine: ``"single"``, ``"mean"`` or ``"sum"``."""
         return self._aggregation
 
-    @property
-    def backend(self) -> str:
-        """Which traversal kernel predictions run on (``"numba"``/``"numpy"``)."""
-        return "numba" if self._jit else "numpy"
-
     # ------------------------------------------------------------------ prediction
     def predict(self, features) -> np.ndarray:
         """Predict targets for ``features`` (``(n, p)``), bit-identical to the
@@ -273,22 +241,9 @@ class CompiledPredictor:
         return out
 
     def _leaf_matrix(self, features: np.ndarray) -> np.ndarray:
-        """Leaf value per (tree, row) — each row's per-tree prediction."""
-        if self._jit and _numba is not None:  # pragma: no cover - numba absent in CI
-            return _leaves_numba(
-                features.ravel(),
-                features.shape[1],
-                self.roots,
-                self._safe_feature,
-                self.threshold,
-                self.left_child,
-                self.leaf_value,
-            )
-        return self._leaves_numpy(features)
-
-    def _leaves_numpy(self, features: np.ndarray) -> np.ndarray:
-        """Level-synchronous traversal: the whole (tree, row) frontier steps
-        one depth level per iteration; parked leaves self-loop in place."""
+        """Leaf value per (tree, row) by level-synchronous traversal: the
+        whole (tree, row) frontier steps one depth level per iteration;
+        parked leaves self-loop in place."""
         num_rows, num_cols = features.shape
         flat = features.ravel()
         node = np.repeat(self.roots[:, None], num_rows, axis=1)
@@ -314,30 +269,6 @@ class CompiledPredictor:
             out[:] = leaves[0]
 
 
-if _numba is not None:  # pragma: no cover - numba absent in CI
-
-    @_numba.njit(parallel=True, cache=True)
-    def _leaves_numba(flat, num_cols, roots, feature, threshold, left_child, leaf_value):
-        num_trees = roots.shape[0]
-        num_rows = flat.shape[0] // num_cols
-        out = np.empty((num_trees, num_rows), dtype=np.float64)
-        for tree in _numba.prange(num_trees):
-            for row in range(num_rows):
-                node = roots[tree]
-                while left_child[node] != node:
-                    if flat[row * num_cols + feature[node]] <= threshold[node]:
-                        node = left_child[node]
-                    else:
-                        node = left_child[node] + 1
-                out[tree, row] = leaf_value[node]
-        return out
-
-else:
-
-    def _leaves_numba(*args):  # pragma: no cover - unreachable without numba
-        raise NotFittedError("numba is not installed; the JIT traversal is unavailable")
-
-
 class CompiledGradientBoostingRegressor(GradientBoostingRegressor):
     """Gradient boosting whose ``predict`` runs on the compiled SoA kernel.
 
@@ -355,4 +286,4 @@ class CompiledGradientBoostingRegressor(GradientBoostingRegressor):
         return self.compile().predict(features)
 
 
-__all__ = ["CompiledPredictor", "CompiledGradientBoostingRegressor", "JIT_ENV_FLAG"]
+__all__ = ["CompiledPredictor", "CompiledGradientBoostingRegressor"]

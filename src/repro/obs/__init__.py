@@ -20,7 +20,6 @@ from repro.obs.runtime import (
     GSORunProfile,
     Observability,
     Trace,
-    accepts_profile_hook,
     instrument_chain,
     register_kernel,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "Observability",
     "Trace",
     "GSORunProfile",
-    "accepts_profile_hook",
     "instrument_chain",
     "register_kernel",
     "Span",

@@ -38,7 +38,6 @@ without a cycle.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import os
 import weakref
@@ -83,86 +82,6 @@ class GSORunProfile:
             "radius_trajectory": list(self.radius_trajectory),
             "feasible_trajectory": list(self.feasible_trajectory),
         }
-
-
-#: ``type -> bool``: whether its ``find_regions`` accepts ``profile_hook``.
-#: Cached so the executor pays one signature inspection per finder class, not
-#: per run; test doubles with the pre-observability signature keep working.
-_PROFILE_HOOK_OK: Dict[type, bool] = {}
-
-
-def accepts_profile_hook(finder) -> bool:
-    kind = type(finder)
-    ok = _PROFILE_HOOK_OK.get(kind)
-    if ok is None:
-        try:
-            parameters = inspect.signature(kind.find_regions).parameters
-            ok = "profile_hook" in parameters or any(
-                parameter.kind is inspect.Parameter.VAR_KEYWORD
-                for parameter in parameters.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            ok = False
-        _PROFILE_HOOK_OK[kind] = ok
-    return ok
-
-
-# --------------------------------------------------------------------------- metric families
-def gso_run_families(metrics: MetricsRegistry):
-    """The optimiser-run counter families (shared with worker-side deltas)."""
-    return (
-        metrics.counter("repro_gso_runs_total", "Optimiser runs executed.", ("model",)),
-        metrics.counter(
-            "repro_gso_surrogate_evals_total",
-            "Surrogate objective evaluations consumed by optimiser runs.",
-            ("model",),
-        ),
-        metrics.counter(
-            "repro_gso_iterations_total", "Swarm iterations executed.", ("model",)
-        ),
-    )
-
-
-def record_gso_run_into(metrics: MetricsRegistry, model: str, result, profile=None) -> None:
-    """Count one finished optimiser run into ``metrics``.
-
-    ``result`` is a :class:`~repro.core.finder.RegionSearchResult`; its
-    ``optimization`` summary already carries exact evaluation and iteration
-    counts, so run accounting works even when per-iteration profiling is off
-    (or unsupported by a test-double finder).
-    """
-    runs, evals, iterations = gso_run_families(metrics)
-    runs.labels(model).inc()
-    optimization = getattr(result, "optimization", None)
-    if optimization is not None:
-        evals.labels(model).inc(float(optimization.function_evaluations))
-        iterations.labels(model).inc(float(optimization.num_iterations))
-    elif profile is not None:
-        evals.labels(model).inc(float(profile.get("surrogate_evals", 0)))
-        iterations.labels(model).inc(float(profile.get("iterations", 0)))
-
-
-def worker_run_delta(finder, query, max_proposals, model: str, profile_on: bool):
-    """One observed optimiser run inside a :class:`ProcessExecute` worker.
-
-    Records into a private, collector-less registry and returns
-    ``(result, extra)`` where ``extra`` carries the registry snapshot (merged
-    into the parent's registry when the future is collected — counters add,
-    so no increment is lost crossing the process boundary) plus the profile
-    summary for the run's span.
-    """
-    hook = GSORunProfile() if profile_on and accepts_profile_hook(finder) else None
-    if hook is not None:
-        result = finder.find_regions(query, max_proposals=max_proposals, profile_hook=hook)
-    else:
-        result = finder.find_regions(query, max_proposals=max_proposals)
-    metrics = MetricsRegistry()
-    summary = hook.summary() if hook is not None else None
-    record_gso_run_into(metrics, model, result, summary)
-    return result, {
-        "metrics": metrics.snapshot(run_collectors=False),
-        "profile": summary,
-    }
 
 
 # --------------------------------------------------------------------------- the bundle
@@ -247,7 +166,15 @@ class Observability:
             "repro_admission_inflight", "Distinct optimiser runs currently admitted.",
             ("model",),
         )
-        self.gso_runs, self.gso_evals, self.gso_iterations = gso_run_families(m)
+        self.gso_runs = m.counter("repro_gso_runs_total", "Optimiser runs executed.", ("model",))
+        self.gso_evals = m.counter(
+            "repro_gso_surrogate_evals_total",
+            "Surrogate objective evaluations consumed by optimiser runs.",
+            ("model",),
+        )
+        self.gso_iterations = m.counter(
+            "repro_gso_iterations_total", "Swarm iterations executed.", ("model",)
+        )
 
     @classmethod
     def coerce(cls, value) -> "Observability":
@@ -264,15 +191,27 @@ class Observability:
         """A cheap unique id for requests that arrived without one."""
         return f"{self._id_prefix}-{next(self._seq):x}"
 
-    def run_profiler(self, finder) -> Optional[GSORunProfile]:
-        """A fresh per-run profile hook, or ``None`` when profiling is off
-        (or the finder's ``find_regions`` predates the hook parameter)."""
-        if self.gso_profile and accepts_profile_hook(finder):
-            return GSORunProfile()
-        return None
+    def run_profiler(self) -> Optional[GSORunProfile]:
+        """A fresh per-run profile hook, or ``None`` when profiling is off."""
+        return GSORunProfile() if self.gso_profile else None
 
     def record_gso_run(self, model: str, result, profile=None) -> None:
-        record_gso_run_into(self.metrics, model, result, profile)
+        """Count one finished optimiser run, whichever executor ran it.
+
+        ``result`` is a :class:`~repro.core.finder.RegionSearchResult`; its
+        ``optimization`` summary already carries exact evaluation and
+        iteration counts, so run accounting works even when per-iteration
+        profiling is off (the profile summary is the fallback for results
+        without one).
+        """
+        self.gso_runs.labels(model).inc()
+        optimization = getattr(result, "optimization", None)
+        if optimization is not None:
+            self.gso_evals.labels(model).inc(float(optimization.function_evaluations))
+            self.gso_iterations.labels(model).inc(float(optimization.num_iterations))
+        elif profile is not None:
+            self.gso_evals.labels(model).inc(float(profile.get("surrogate_evals", 0)))
+            self.gso_iterations.labels(model).inc(float(profile.get("iterations", 0)))
 
 
 # --------------------------------------------------------------------------- batch recording
@@ -579,10 +518,6 @@ __all__ = [
     "BatchRecorder",
     "InstrumentedStage",
     "GSORunProfile",
-    "accepts_profile_hook",
-    "gso_run_families",
-    "record_gso_run_into",
-    "worker_run_delta",
     "instrument_chain",
     "register_kernel",
 ]

@@ -12,8 +12,8 @@ query log"; this package closes that loop for a live deployment:
    :class:`DriftMonitor`'s rolling residuals say the model has drifted, and
    refreshes the Eq. 5 satisfiability CDF from the enlarged sample.
 3. :class:`RefreshPolicy` — a background thread that triggers
-   :meth:`repro.serve.SuRFService.refresh` once enough new pairs accumulate;
-   the service hot-swaps the refreshed models atomically under its lock.
+   :meth:`repro.api.ServiceKernel.refresh` once enough new pairs accumulate;
+   the kernel hot-swaps the refreshed models atomically under its lock.
 """
 
 from repro.online.drift import DriftMonitor

@@ -1,4 +1,4 @@
-"""Background refresh scheduling for an online :class:`~repro.serve.SuRFService`.
+"""Background refresh scheduling for an online :class:`~repro.api.ServiceKernel`.
 
 A deployment does not want to call ``service.refresh()`` by hand;
 :class:`RefreshPolicy` runs a daemon thread that wakes up every
@@ -35,7 +35,6 @@ class RefreshPolicy:
     ----------
     service:
         Anything exposing ``pending_log_entries`` and ``refresh()`` — a
-        :class:`~repro.serve.SuRFService` or
         :class:`~repro.api.kernel.ServiceKernel` configured with a query
         log, or a whole :class:`~repro.api.tenancy.ModelRegistry` (refreshed
         fleet-wide via ``refresh_all``).

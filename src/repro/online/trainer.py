@@ -17,7 +17,7 @@ three.  Two training paths exist:
   eventually needs rebuilding), or when the caller forces it.
 
 Every produced model is a *new object*; nothing the caller may currently be
-serving from is mutated, which is what lets :class:`repro.serve.SuRFService`
+serving from is mutated, which is what lets :class:`repro.api.ServiceKernel`
 hot-swap the result atomically.
 """
 
@@ -186,7 +186,7 @@ class IncrementalTrainer:
         With no new pairs (and no ``force_full``) this is a strict no-op: the
         existing models are returned untouched, so anything serving from them
         stays bit-identical.  Not thread-safe against itself — callers
-        (e.g. :meth:`repro.serve.SuRFService.refresh`) serialise refreshes.
+        (e.g. :meth:`repro.api.ServiceKernel.refresh`) serialise refreshes.
         """
         start = time.perf_counter()
         new_evaluations = list(new_evaluations)

@@ -15,18 +15,17 @@ This implementation adds the paper's two extensions:
 * neighbour-selection probabilities can be re-weighted by the data mass of
   the neighbour's region (Eq. 8) via the ``selection_weight`` callback.
 
-The movement phase is implemented twice: a whole-swarm vectorised kernel (the
-default) and a per-particle reference loop (``movement="reference"``).  Both
-consume the seeded RNG stream in exactly the same order — one uniform draw per
-particle that has neighbours, one ``normal(size=d)`` draw per isolated
-infeasible particle, in particle-index order — and make the same
-floating-point decisions, so seeded runs produce bit-identical trajectories
-under either implementation.  (The one theoretical exception: the kernel
-compares squared distances against squared radii, which could disagree with
-the reference's ``norm <= radius`` only when a pairwise distance ties with a
-decision radius to within one rounding error — the equivalence tests assert
-that seeded runs are nonetheless identical.)  The reference loop is kept for
-the equivalence tests and the before/after microbenchmarks.
+The movement phase is a whole-swarm vectorised kernel.  It consumes the
+seeded RNG stream in exactly the order the original per-particle loop did —
+one uniform draw per particle that has neighbours, one ``normal(size=d)`` draw
+per isolated infeasible particle, in particle-index order — and makes the same
+floating-point decisions, so seeded runs produce bit-identical trajectories.
+(The one theoretical exception: the kernel compares squared distances against
+squared radii, which could disagree with the loop's ``norm <= radius`` only
+when a pairwise distance ties with a decision radius to within one rounding
+error.)  The per-particle loop lives on as the equivalence oracle in
+``tests/helpers/gso_reference.py``, which the equivalence tests and the
+movement microbenchmarks compare against.
 """
 
 from __future__ import annotations
@@ -154,11 +153,6 @@ class GlowwormSwarmOptimizer:
         matrix; evaluated once per iteration for the whole swarm.
     initial_positions:
         Optional explicit start positions of shape ``(L, D)``.
-    movement:
-        ``"vectorized"`` (default) runs the whole-swarm array kernel;
-        ``"reference"`` runs the per-particle loop.  Both produce bit-identical
-        seeded trajectories; the reference implementation exists for the
-        equivalence tests and the before/after microbenchmarks.
     profile_hook:
         Optional observer with an ``on_iteration(iteration, evaluations,
         radii, fitness)`` method (e.g. :class:`repro.obs.GSORunProfile`),
@@ -179,16 +173,10 @@ class GlowwormSwarmOptimizer:
         selection_weight: Optional[Callable[[np.ndarray], float]] = None,
         batch_selection_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         initial_positions: Optional[np.ndarray] = None,
-        movement: str = "vectorized",
         profile_hook=None,
     ):
-        if movement not in ("vectorized", "reference"):
-            raise ValidationError(
-                f"movement must be 'vectorized' or 'reference', got {movement!r}"
-            )
         self.objective = objective
         self.batch_objective = batch_objective
-        self.movement = movement
         self.lower_bounds = check_array(lower_bounds, name="lower_bounds", ndim=1)
         self.upper_bounds = check_array(upper_bounds, name="upper_bounds", ndim=1)
         if self.lower_bounds.shape != self.upper_bounds.shape:
@@ -256,81 +244,12 @@ class GlowwormSwarmOptimizer:
         """One movement + adaptive-radius phase (Eq. 7 / Eq. 8).
 
         Returns the proposed (unclipped) positions and the updated decision
-        radii.  Dispatches to the vectorised kernel or the per-particle
-        reference loop; both consume the RNG stream identically, so seeded
-        trajectories do not depend on the implementation chosen.
+        radii.
         """
         selection_weights = self._selection_weights(positions)
-        if self.movement == "reference":
-            return self._move_reference(
-                positions, luciferin, radii, fitness, selection_weights, rng, step, max_radius
-            )
         return self._move_vectorized(
             positions, luciferin, radii, fitness, selection_weights, rng, step, max_radius
         )
-
-    def _move_reference(
-        self,
-        positions: np.ndarray,
-        luciferin: np.ndarray,
-        radii: np.ndarray,
-        fitness: np.ndarray,
-        selection_weights: Optional[np.ndarray],
-        rng: np.random.Generator,
-        step: float,
-        max_radius: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-particle movement loop, kept as the equivalence/benchmark baseline.
-
-        This is a faithful port of the original (pre-vectorisation) loop with
-        one deliberate change: the selection-weight total is a sequential
-        ``cumsum`` rather than numpy's pairwise ``sum``, so that it matches
-        the row-wise cumulative sums of the vectorised kernel bit-for-bit.
-        The two totals can differ in the last ulp for particles with more
-        than ~8 neighbours, which would alter the original trajectory only if
-        a uniform draw fell within one rounding error of the perturbed CDF
-        boundary.
-        """
-        params = self.parameters
-        distances = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
-        radii = radii.copy()
-        new_positions = positions.copy()
-        for i in range(params.num_particles):
-            neighbour_mask = (distances[i] <= radii[i]) & (luciferin > luciferin[i])
-            neighbour_mask[i] = False
-            neighbours = np.flatnonzero(neighbour_mask)
-            if neighbours.size:
-                gaps = luciferin[neighbours] - luciferin[i]
-                weights = gaps.astype(np.float64)
-                if selection_weights is not None:
-                    weights = weights * selection_weights[neighbours]
-                # Sequential (cumsum) total so the normalisation matches the
-                # row-wise cumulative sums of the vectorised kernel bit-for-bit.
-                total = float(np.cumsum(weights)[-1])
-                if total <= 0:
-                    probabilities = np.full(neighbours.size, 1.0 / neighbours.size)
-                else:
-                    probabilities = weights / total
-                chosen = int(rng.choice(neighbours, p=probabilities))
-                direction = positions[chosen] - positions[i]
-                norm = np.linalg.norm(direction)
-                if norm > 1e-12:
-                    new_positions[i] = positions[i] + step * direction / norm
-            elif params.explore_when_isolated and not np.isfinite(fitness[i]):
-                # Isolated + infeasible: random walk so the particle keeps exploring.
-                direction = rng.normal(size=self.dim)
-                norm = np.linalg.norm(direction)
-                if norm > 1e-12:
-                    new_positions[i] = positions[i] + step * direction / norm
-            # Adaptive decision radius.
-            radii[i] = float(
-                np.clip(
-                    radii[i] + params.radius_gain * (params.desired_neighbours - neighbours.size),
-                    1e-6,
-                    max_radius,
-                )
-            )
-        return new_positions, radii
 
     def _move_vectorized(
         self,
@@ -347,15 +266,16 @@ class GlowwormSwarmOptimizer:
 
         Replaces the per-particle loop with one boolean neighbour matrix, a
         row-wise inverse-CDF neighbour draw and batched step updates.  The RNG
-        stream and every floating-point decision match ``_move_reference``
-        (see the module docstring), which the equivalence tests assert.
+        stream and every floating-point decision match the per-particle
+        reference loop (see the module docstring), which the equivalence
+        tests assert.
         """
         params = self.parameters
         num_particles = params.num_particles
         new_positions = positions.copy()
 
-        # Pairwise squared distances via one BLAS Gram matrix instead of the
-        # O(L * L * d) broadcast the reference loop pays; ``d <= r`` becomes
+        # Pairwise squared distances via one BLAS Gram matrix instead of an
+        # O(L * L * d) broadcast; ``d <= r`` becomes
         # ``d^2 <= r^2``, which flips a neighbour decision only if a distance
         # sits within one rounding error of the radius.
         squared_norms = np.einsum("ij,ij->i", positions, positions)

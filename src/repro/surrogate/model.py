@@ -20,7 +20,7 @@ class SurrogateModel:
     (``predict_region``) interfaces; the optimiser uses the former, analysts
     the latter.  Prediction never mutates the wrapper or the estimator, so one
     fitted surrogate can be shared across the serving layer's concurrent GSO
-    runs (:mod:`repro.serve`) without locking.  When ``augment_features`` is
+    runs (:mod:`repro.api`) without locking.  When ``augment_features`` is
     set, the same feature map used at
     training time (:func:`repro.surrogate.features.augment_region_vectors`) is
     applied before every prediction — callers always pass plain ``[x, l]``

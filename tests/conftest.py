@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-# Make the frozen PR 4 serving monolith (tests/helpers/legacy_service.py)
-# importable from every suite; the API equivalence tests and benchmark use it
-# as the bit-identity / overhead baseline.
+# Make the test-only oracles in tests/helpers importable from every suite: the
+# frozen serving monolith (legacy_service.py), the bit-identity / overhead
+# baseline of the API equivalence tests and benchmark, and the per-particle GSO
+# movement loop (gso_reference.py) the vectorised kernel is checked against.
 HELPERS_DIR = os.path.join(os.path.dirname(__file__), "helpers")
 if HELPERS_DIR not in sys.path:
     sys.path.insert(0, HELPERS_DIR)

@@ -125,12 +125,12 @@ class TestOnlineServingConcurrency:
 
         Every response must be *internally consistent*: all of its proposals
         carry predictions from ONE model generation — never a mix of the
-        pre- and post-refresh surrogate.  The service guarantees this by
+        pre- and post-refresh surrogate.  The kernel guarantees this by
         swapping the finder by reference (each run captures one snapshot)
         instead of mutating fitted attributes in place.
         """
+        from repro.api import ServiceKernel
         from repro.online import QueryLog
-        from repro.serve.service import SuRFService
 
         synthetic = make_synthetic_dataset(
             statistic="density", dim=2, num_regions=1, num_points=3_000, random_state=21
@@ -139,7 +139,7 @@ class TestOnlineServingConcurrency:
         finder = fast_surf(use_density_guidance=False).fit(
             generate_workload(engine, 500, random_state=0)
         )
-        service = SuRFService(finder, cache_size=0, query_log=QueryLog(capacity=50_000))
+        service = ServiceKernel(finder, cache_size=0, query_log=QueryLog(capacity=50_000))
         query = RegionQuery(threshold=synthetic.suggested_threshold(), direction="above")
         variant = RegionQuery(threshold=query.threshold * 0.9, direction="above")
 
@@ -166,7 +166,7 @@ class TestOnlineServingConcurrency:
                     if all(
                         proposal.predicted_value
                         == surrogate.predict_vector(proposal.region.to_vector())
-                        for proposal in response.proposals
+                        for proposal in response.result.proposals
                     ):
                         return True
                 time_module.sleep(0.05)
@@ -175,7 +175,7 @@ class TestOnlineServingConcurrency:
         def hammer():
             try:
                 while not stop.is_set():
-                    for response in service.find_regions_batch([query, variant, query]):
+                    for response in service.handle_batch([query, variant, query]):
                         if response.status == "rejected":
                             continue
                         assert consistent_with_one_generation(response), (

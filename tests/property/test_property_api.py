@@ -10,8 +10,8 @@ Three layers of guarantees:
    conflicting registrations never silently shadow, and ``resolve`` is stable
    across repeated calls.
 3. **Seeded bit-identity vs the PR 4 monolith** — a 16-query burst served by
-   the ``SuRFService`` compat shim (and by the kernel directly) returns
-   results bit-identical to the frozen pre-refactor service
+   :class:`ServiceKernel` (as one batch, as sequential singles, and after a
+   refresh) returns results bit-identical to the frozen pre-refactor service
    (``tests/helpers/legacy_service.py``): same statuses, same regions, same
    objective values, same counters.
 """
@@ -28,7 +28,6 @@ from legacy_service import LegacySuRFService
 from repro.api import FindRequest, FindResponse, ProposalPayload, Registry, ServiceKernel
 from repro.core.query import RegionQuery
 from repro.exceptions import ValidationError
-from repro.serve.service import SuRFService
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -133,17 +132,28 @@ class TestRegistryProperties:
 
 # --------------------------------------------------------------------------- bit-identity vs PR 4
 def responses_identical(legacy, modern) -> None:
-    """Statuses, satisfiability and full proposal payloads must match bitwise."""
+    """Statuses, satisfiability and full proposals must match bitwise.
+
+    ``legacy`` holds the monolith's responses, ``modern`` the kernel's
+    :class:`FindResponse` envelopes: proposals are compared through the
+    envelope's result handle (regions, predictions, objectives, support) and
+    through its serialisable payloads.
+    """
     assert len(legacy) == len(modern)
     for before, after in zip(legacy, modern):
         assert after.status == before.status
         assert float(after.satisfiability) == float(before.satisfiability)
-        assert len(after.proposals) == len(before.proposals)
-        for lhs, rhs in zip(before.proposals, after.proposals):
+        after_proposals = after.result.proposals if after.result is not None else []
+        assert len(after.proposals) == len(after_proposals) == len(before.proposals)
+        for lhs, rhs, payload in zip(before.proposals, after_proposals, after.proposals):
             assert np.array_equal(lhs.region.to_vector(), rhs.region.to_vector())
             assert lhs.predicted_value == rhs.predicted_value
             assert lhs.objective_value == rhs.objective_value
             assert lhs.support == rhs.support
+            assert np.array_equal(np.asarray(lhs.region.center), np.asarray(payload.center))
+            assert np.array_equal(
+                np.asarray(lhs.region.half_lengths), np.asarray(payload.half_lengths)
+            )
 
 
 @pytest.fixture(scope="module")
@@ -162,48 +172,29 @@ def burst(fitted_surf):
 
 
 class TestLegacyEquivalence:
-    def test_shim_batch_is_bit_identical_to_pr4_service(self, fitted_surf, burst):
-        legacy = LegacySuRFService(fitted_surf).find_regions_batch(burst)
-        modern = SuRFService(fitted_surf).find_regions_batch(burst)
-        responses_identical(legacy, modern)
-
     def test_kernel_batch_is_bit_identical_to_pr4_service(self, fitted_surf, burst):
         legacy = LegacySuRFService(fitted_surf).find_regions_batch(burst)
-        kernel_responses = ServiceKernel(fitted_surf).handle_batch(burst)
-        assert len(kernel_responses) == len(legacy)
-        for before, after in zip(legacy, kernel_responses):
-            assert after.status == before.status
-            assert float(after.satisfiability) == float(before.satisfiability)
-            before_proposals = before.result.proposals if before.result else []
-            assert len(after.proposals) == len(before_proposals)
-            for lhs, rhs in zip(before_proposals, after.proposals):
-                assert np.array_equal(
-                    np.asarray(lhs.region.center), np.asarray(rhs.center)
-                )
-                assert np.array_equal(
-                    np.asarray(lhs.region.half_lengths), np.asarray(rhs.half_lengths)
-                )
-                assert lhs.predicted_value == rhs.predicted_value
-                assert lhs.objective_value == rhs.objective_value
+        modern = ServiceKernel(fitted_surf).handle_batch(burst)
+        responses_identical(legacy, modern)
 
     def test_sequential_singles_are_bit_identical_too(self, fitted_surf, burst):
         legacy_service = LegacySuRFService(fitted_surf)
-        modern_service = SuRFService(fitted_surf)
+        kernel = ServiceKernel(fitted_surf)
         legacy = [legacy_service.find_regions(query) for query in burst]
-        modern = [modern_service.find_regions(query) for query in burst]
+        modern = [kernel.handle(query) for query in burst]
         responses_identical(legacy, modern)
 
     def test_counters_match_the_pr4_service(self, fitted_surf, burst):
         legacy_service = LegacySuRFService(fitted_surf)
-        modern_service = SuRFService(fitted_surf)
+        kernel = ServiceKernel(fitted_surf)
         legacy_service.find_regions_batch(burst)
-        modern_service.find_regions_batch(burst)
+        kernel.handle_batch(burst)
         # The modern stats surface is a strict superset: every PR 4 counter
         # must match bit-for-bit, and the load-control counters (which the
         # frozen monolith predates) must stay zero without load-control
         # middleware in the chain.
         legacy_stats = legacy_service.stats.as_dict()
-        modern_stats = modern_service.stats.as_dict()
+        modern_stats = kernel.stats.as_dict()
         assert {key: modern_stats[key] for key in legacy_stats} == legacy_stats
         extra = set(modern_stats) - set(legacy_stats)
         assert extra == {"throttled", "shed", "timeouts", "errors", "since_refresh"}
@@ -222,12 +213,12 @@ class TestLegacyEquivalence:
 
         pairs = list(generate_workload(density_engine, 60, random_state=77))
         legacy_service = LegacySuRFService(fitted_surf, query_log=QueryLog(capacity=500))
-        modern_service = SuRFService(fitted_surf, query_log=QueryLog(capacity=500))
+        kernel = ServiceKernel(fitted_surf, query_log=QueryLog(capacity=500))
         legacy_service.observe_many(pairs)
-        modern_service.observe_many(pairs)
-        assert legacy_service.refresh().mode == modern_service.refresh().mode
-        assert legacy_service.generation == modern_service.generation == 1
+        kernel.observe_many(pairs)
+        assert legacy_service.refresh().mode == kernel.refresh().mode
+        assert legacy_service.generation == kernel.generation == 1
         responses_identical(
             legacy_service.find_regions_batch(burst),
-            modern_service.find_regions_batch(burst),
+            kernel.handle_batch(burst),
         )

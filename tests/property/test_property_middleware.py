@@ -43,7 +43,7 @@ from repro.core.finder import SuRF
 class InstantFinder(SuRF):
     """Returns a canned result instantly — execution cost drops to ~0."""
 
-    def find_regions(self, query, max_proposals=None):
+    def find_regions(self, query, max_proposals=None, profile_hook=None):
         return self.canned
 
 

@@ -2,7 +2,7 @@
 
 Two invariants the online loop leans on, checked over generated inputs:
 
-* ``SuRFService.normalize_query`` is idempotent and maps thresholds that
+* :func:`repro.api.normalize_query` is idempotent and maps thresholds that
   differ only by sub-tolerance float noise (relative ~1e-13, far below any
   statistically meaningful digit) to one cache key — repeated analyst traffic
   lands on one cache entry even after serialisation round trips.
@@ -15,10 +15,10 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.api import normalize_query
 from repro.core.query import RegionQuery
 from repro.data.regions import Region
 from repro.online import QueryLog
-from repro.serve.service import SuRFService
 from repro.surrogate.workload import RegionEvaluation
 from repro.utils.validation import canonical_float
 
@@ -34,8 +34,8 @@ def queries():
 # --------------------------------------------------------------------------- normalisation
 @given(queries())
 def test_normalize_query_is_idempotent(query):
-    once = SuRFService.normalize_query(query)
-    twice = SuRFService.normalize_query(once)
+    once = normalize_query(query)
+    twice = normalize_query(once)
     assert once == twice
     assert type(once.threshold) is float
     assert type(once.size_penalty) is float
@@ -43,7 +43,7 @@ def test_normalize_query_is_idempotent(query):
 
 @given(queries())
 def test_normalize_query_preserves_direction_and_tolerance(query):
-    normalized = SuRFService.normalize_query(query)
+    normalized = normalize_query(query)
     assert normalized.direction == query.direction
     # 12 significant digits: the canonical value is within relative 1e-11.
     if query.threshold != 0:
@@ -63,8 +63,8 @@ def test_cache_key_is_stable_under_float_noise_within_tolerance(base, noise, dir
     # it across a cell boundary: both queries produce the same cache key.
     coarse = canonical_float(base, significant_digits=6)
     noisy = coarse * (1.0 + noise)
-    clean_query = SuRFService.normalize_query(RegionQuery(threshold=coarse, direction=direction))
-    noisy_query = SuRFService.normalize_query(RegionQuery(threshold=noisy, direction=direction))
+    clean_query = normalize_query(RegionQuery(threshold=coarse, direction=direction))
+    noisy_query = normalize_query(RegionQuery(threshold=noisy, direction=direction))
     assert clean_query == noisy_query
     assert hash(clean_query) == hash(noisy_query)
 

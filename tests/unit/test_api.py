@@ -40,7 +40,6 @@ from repro.data.engine import DataEngine
 from repro.data.statistics import AverageStatistic, CountStatistic
 from repro.exceptions import NotFittedError, ValidationError
 from repro.optim.gso import GlowwormSwarmOptimizer, GSOParameters
-from repro.serve.service import SuRFService
 from repro.surrogate.training import SurrogateTrainer
 
 
@@ -445,12 +444,6 @@ class TestMiddleware:
                 middleware, (Normalize, SatisfiabilityGate, Cache, Coalesce, Execute, Harvest)
             )
 
-    def test_shim_accepts_a_custom_chain(self, fitted_surf, density_query):
-        metrics = MetricsMiddleware()
-        service = SuRFService(fitted_surf, middleware=[metrics, *default_chain()])
-        assert service.find_regions(density_query).status == "served"
-        assert metrics.statuses == ["served"]
-
 
 # --------------------------------------------------------------------------- multi-tenant routing
 class TestModelRegistry:
@@ -591,9 +584,9 @@ class TestModelRegistry:
         registry.find(FindRequest.from_query(density_query, model="observed"))
         assert metrics.statuses == ["served"]
 
-    def test_mixed_batch_serves_tenant_groups_concurrently(self, registry, density_query):
-        # Correctness under the cross-tenant thread fan-out: a cold query per
-        # tenant plus repeats — every response lands in its input slot.
+    def test_mixed_batch_serves_tenant_groups_in_order(self, registry, density_query):
+        # A cold query per tenant plus repeats: the groups are served one
+        # after another, and every response lands in its input slot.
         crimes = FindRequest.from_query(density_query, model="crimes/count")
         sales_threshold = float(
             registry.get("sales/average").finder.satisfiability_.quantile(0.5)
@@ -611,41 +604,8 @@ class TestModelRegistry:
         assert responses[1].proposals == responses[3].proposals
 
 
-# --------------------------------------------------------------------------- compat shim satellites
-class TestCompatShim:
-    def test_from_bundle_rejects_unknown_kwargs_by_name(self, fitted_surf, tmp_path):
-        path = fitted_surf.save(tmp_path / "finder.surf")
-        with pytest.raises(ValidationError, match="cache_sz"):
-            SuRFService.from_bundle(path, cache_sz=16)
-        # The happy path still builds a working service.
-        assert SuRFService.from_bundle(path, cache_size=16).cache_size == 16
-
-    def test_shim_exposes_the_kernel(self, fitted_surf):
-        service = SuRFService(fitted_surf)
-        assert isinstance(service.kernel, ServiceKernel)
-        assert service.kernel.finder is fitted_surf
-
-    def test_shim_passthrough_configuration_views(self, fitted_surf):
-        service = SuRFService(
-            fitted_surf, cache_size=5, min_satisfiability=0.25, max_proposals=3, max_workers=2
-        )
-        assert service.cache_size == 5
-        assert service.min_satisfiability == 0.25
-        assert service.max_proposals == 3
-        assert service.max_workers == 2
-
-    def test_service_response_from_envelope(self, fitted_surf, density_query):
-        from repro.serve.service import ServiceResponse
-
-        envelope = ServiceKernel(fitted_surf).handle(density_query)
-        legacy_view = ServiceResponse.from_envelope(
-            envelope, SuRFService.normalize_query(density_query)
-        )
-        assert legacy_view.status == envelope.status
-        assert legacy_view.result is envelope.result
-        assert legacy_view.proposals == envelope.result.proposals
-        assert legacy_view.satisfiability == envelope.satisfiability
-
+# --------------------------------------------------------------------------- serving counters
+class TestServiceStats:
     def test_stats_as_dict_keys_are_stable_and_include_hit_rate(self):
         stats = ServiceStats(queries=4, cache_hits=1)
         payload = stats.as_dict()

@@ -15,11 +15,7 @@ import pytest
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.base import clone
 from repro.ml.boosting import GradientBoostingRegressor
-from repro.ml.compiled import (
-    JIT_ENV_FLAG,
-    CompiledGradientBoostingRegressor,
-    CompiledPredictor,
-)
+from repro.ml.compiled import CompiledGradientBoostingRegressor, CompiledPredictor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.tree import DecisionTreeRegressor, _Node
@@ -207,10 +203,6 @@ class TestSoALayout:
         with pytest.raises(ValidationError, match="features"):
             compiled.predict(np.ones((4, 7)))
 
-    def test_backend_is_numpy_without_numba(self, predictor):
-        _, compiled = predictor
-        assert compiled.backend == "numpy"
-
 
 class TestEstimatorIntegration:
     def test_compile_caches_and_force_rebuilds(self, training_data):
@@ -338,30 +330,6 @@ class TestRegistryAndTrainer:
         trainer = SurrogateTrainer(estimator="knn", random_state=0)
         surrogate = trainer.train(workload)  # must not raise
         assert not CompiledPredictor.compilable(surrogate.estimator)
-
-
-class TestJitFlag:
-    def test_env_flag_falls_back_silently_without_numba(self, training_data, monkeypatch):
-        # numba is not installed in this environment: asking for the JIT must
-        # neither crash nor change results — it degrades to the numpy kernel.
-        features, targets = training_data
-        model = GradientBoostingRegressor(n_estimators=4, random_state=0).fit(features, targets)
-        monkeypatch.setenv(JIT_ENV_FLAG, "1")
-        predictor = CompiledPredictor(model)
-        assert predictor.backend == "numpy"
-        np.testing.assert_array_equal(predictor.predict(features), model.predict(features))
-
-    def test_explicit_jit_argument_falls_back_too(self, training_data):
-        features, targets = training_data
-        model = DecisionTreeRegressor(max_depth=3).fit(features, targets)
-        assert CompiledPredictor(model, jit=True).backend == "numpy"
-        assert CompiledPredictor(model, jit=False).backend == "numpy"
-
-    def test_env_flag_off_values_ignored(self, training_data, monkeypatch):
-        features, targets = training_data
-        model = DecisionTreeRegressor(max_depth=3).fit(features, targets)
-        monkeypatch.setenv(JIT_ENV_FLAG, "0")
-        assert CompiledPredictor(model).backend == "numpy"
 
 
 class TestDeepTreeRecursionSafety:

@@ -35,28 +35,34 @@ from repro.core.finder import SuRF
 class FlakyFinder(SuRF):
     """Raises on any query whose threshold is in the poison set."""
 
-    def find_regions(self, query, max_proposals=None):
+    def find_regions(self, query, max_proposals=None, profile_hook=None):
         if any(abs(query.threshold - poison) < 1e-12 for poison in self.poison):
             raise RuntimeError(f"injected failure at threshold {query.threshold}")
-        return super().find_regions(query, max_proposals=max_proposals)
+        return super().find_regions(
+            query, max_proposals=max_proposals, profile_hook=profile_hook
+        )
 
 
 class StallFinder(SuRF):
     """Stalls (default 1s) on any poisoned threshold, then answers normally."""
 
-    def find_regions(self, query, max_proposals=None):
+    def find_regions(self, query, max_proposals=None, profile_hook=None):
         if any(abs(query.threshold - poison) < 1e-12 for poison in self.poison):
             time.sleep(self.stall_seconds)
-        return super().find_regions(query, max_proposals=max_proposals)
+        return super().find_regions(
+            query, max_proposals=max_proposals, profile_hook=profile_hook
+        )
 
 
 class CrashFinder(SuRF):
     """Kills its own process on poisoned thresholds (worker-crash injection)."""
 
-    def find_regions(self, query, max_proposals=None):
+    def find_regions(self, query, max_proposals=None, profile_hook=None):
         if any(abs(query.threshold - poison) < 1e-12 for poison in self.poison):
             os._exit(13)
-        return super().find_regions(query, max_proposals=max_proposals)
+        return super().find_regions(
+            query, max_proposals=max_proposals, profile_hook=profile_hook
+        )
 
 
 def make_flaky(fitted_surf, cls, poison, **attrs):

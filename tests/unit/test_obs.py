@@ -35,7 +35,6 @@ from repro.obs import (
     Span,
     Trace,
     Tracer,
-    accepts_profile_hook,
     current_span,
     parse_prometheus_text,
     span,
@@ -48,18 +47,18 @@ def run(coro):
 
 
 # --------------------------------------------------------------------------- flaky finders
-# Module level so instances pickle cleanly into process-pool workers.  Their
-# legacy (pre-profile-hook) signatures double as the accepts_profile_hook
-# regression: the Execute stage must not pass ``profile_hook=`` to them.
+# Module level so instances pickle cleanly into process-pool workers.
 class ErrorFinder(SuRF):
-    def find_regions(self, query, max_proposals=None):
+    def find_regions(self, query, max_proposals=None, profile_hook=None):
         raise RuntimeError("injected failure")
 
 
 class StallFinder(SuRF):
-    def find_regions(self, query, max_proposals=None):
+    def find_regions(self, query, max_proposals=None, profile_hook=None):
         time.sleep(2.0)
-        return super().find_regions(query, max_proposals=max_proposals)
+        return super().find_regions(
+            query, max_proposals=max_proposals, profile_hook=profile_hook
+        )
 
 
 def reclass(fitted_surf, cls):
@@ -251,11 +250,6 @@ class TestObservabilityUnit:
         obs = Observability()
         ids = {obs.next_trace_id() for _ in range(100)}
         assert len(ids) == 100
-
-    def test_accepts_profile_hook_rejects_legacy_signatures(self, fitted_surf):
-        assert accepts_profile_hook(fitted_surf)
-        assert not accepts_profile_hook(reclass(fitted_surf, ErrorFinder))
-        assert not accepts_profile_hook(reclass(fitted_surf, StallFinder))
 
 
 # =========================================================================== kernel integration
@@ -458,7 +452,8 @@ class TestMetricsUnderConcurrency:
         finally:
             kernel.close()
         parsed = parse_prometheus_text(obs.metrics.render())
-        # Every worker-side run shipped its delta home: one run per threshold.
+        # Every pooled run is counted once its result comes home: one run per
+        # threshold, with the evaluation counts the result carries.
         assert parsed["repro_gso_runs_total"]['{model="pooled"}'] == len(thresholds)
         assert parsed["repro_gso_surrogate_evals_total"]['{model="pooled"}'] > 0
         record = obs.tracer.get(responses[0].trace_id)

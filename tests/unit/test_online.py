@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import ServiceKernel, ServiceStats
 from repro.core.query import RegionQuery
 from repro.data.regions import Region
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.metrics import root_mean_squared_error
 from repro.online import DriftMonitor, IncrementalTrainer, QueryLog, RefreshPolicy
-from repro.serve.service import ServiceStats, SuRFService
 from repro.surrogate.workload import RegionEvaluation, RegionWorkload
 
 
@@ -336,12 +336,12 @@ class TestIncrementalTrainer:
 # --------------------------------------------------------------------------- service refresh
 @pytest.fixture()
 def online_service(fitted_surf):
-    return SuRFService(fitted_surf, query_log=QueryLog(capacity=10_000))
+    return ServiceKernel(fitted_surf, query_log=QueryLog(capacity=10_000))
 
 
 class TestServiceRefresh:
     def test_refresh_without_a_log_is_refused(self, fitted_surf):
-        service = SuRFService(fitted_surf)
+        service = ServiceKernel(fitted_surf)
         with pytest.raises(ValidationError):
             service.refresh()
         with pytest.raises(ValidationError):
@@ -349,24 +349,24 @@ class TestServiceRefresh:
 
     def test_exact_engine_requires_a_log(self, fitted_surf, density_engine):
         with pytest.raises(ValidationError):
-            SuRFService(fitted_surf, exact_engine=density_engine)
+            ServiceKernel(fitted_surf, exact_engine=density_engine)
 
     def test_refresh_with_zero_new_pairs_is_bit_identical(self, online_service, density_query):
-        before = online_service.find_regions(density_query)
+        before = online_service.handle(density_query)
         outcome = online_service.refresh()
         assert outcome.mode == "noop"
         assert online_service.generation == 0
-        after = online_service.find_regions(density_query)
+        after = online_service.handle(density_query)
         # The cache survived the no-op refresh and the finder was not swapped.
         assert after.status == "cached"
         assert after.result is before.result
-        assert proposals_identical(before.proposals, after.proposals)
+        assert proposals_identical(before.result.proposals, after.result.proposals)
         assert online_service.stats.refreshes == 0
 
     def test_refresh_folds_observed_pairs_and_hot_swaps(self, online_service, density_query, density_engine):
         from repro.surrogate.workload import generate_workload
 
-        served = online_service.find_regions(density_query)
+        served = online_service.handle(density_query)
         assert served.status == "served"
         samples_before = online_service.finder.satisfiability_.num_samples
         finder_before = online_service.finder
@@ -387,19 +387,19 @@ class TestServiceRefresh:
         assert online_service.finder.workload_size_ == finder_before.workload_size_ + 80
         # The cache was invalidated: the same query runs GSO again.
         assert online_service.cached_queries == 0
-        assert online_service.find_regions(density_query).status == "served"
+        assert online_service.handle(density_query).status == "served"
 
     def test_served_proposals_are_harvested_with_an_exact_engine(
         self, fitted_surf, density_query, density_engine
     ):
         log = QueryLog(capacity=1_000)
-        service = SuRFService(fitted_surf, query_log=log, exact_engine=density_engine)
-        response = service.find_regions(density_query)
+        service = ServiceKernel(fitted_surf, query_log=log, exact_engine=density_engine)
+        response = service.handle(density_query)
         assert response.status == "served"
         assert len(log) == len(response.proposals)
         assert service.stats.harvested == len(response.proposals)
         # Harvested values are the engine's exact statistics for the proposals.
-        for entry, proposal in zip(log.snapshot(), response.proposals):
+        for entry, proposal in zip(log.snapshot(), response.result.proposals):
             assert entry.value == pytest.approx(density_engine.evaluate(proposal.region))
 
     def test_observed_pairs_count_as_pending_until_refreshed(self, online_service):
@@ -420,7 +420,7 @@ class TestServiceRefresh:
 
         loaded = SuRF.load(fitted_surf.save(tmp_path / "finder.surf"))
         np.testing.assert_array_equal(loaded.workload_targets_, fitted_surf.workload_targets_)
-        service = SuRFService(loaded, query_log=QueryLog())
+        service = ServiceKernel(loaded, query_log=QueryLog())
         service.observe_many(list(generate_workload(density_engine, 40, random_state=2)))
         assert service.refresh().mode == "incremental"
 
@@ -481,7 +481,7 @@ class TestRefreshPolicy:
         assert online_service.generation >= 1
 
     def test_stop_reraises_background_errors(self, fitted_surf):
-        service = SuRFService(fitted_surf)  # no query log: refresh raises
+        service = ServiceKernel(fitted_surf)  # no query log: refresh raises
         policy = RefreshPolicy(service, interval_seconds=60.0, min_new_pairs=1)
         policy.last_error = ValidationError("boom")
         with pytest.raises(ValidationError):
@@ -490,7 +490,7 @@ class TestRefreshPolicy:
     def test_exit_keeps_background_error_when_body_raised(self, fitted_surf):
         # A with-body exception must not silently erase a background refresh
         # failure: the body error propagates, the refresh error stays readable.
-        policy = RefreshPolicy(SuRFService(fitted_surf), interval_seconds=60.0)
+        policy = RefreshPolicy(ServiceKernel(fitted_surf), interval_seconds=60.0)
         background = ValidationError("refresh died")
         with pytest.raises(RuntimeError, match="body failed"):
             with policy:
@@ -513,4 +513,4 @@ class TestServiceStatsHitRate:
         assert ServiceStats().as_dict()["hit_rate"] == 0.0
 
     def test_hit_rate_on_a_fresh_service(self, fitted_surf):
-        assert SuRFService(fitted_surf).stats.hit_rate == 0.0
+        assert ServiceKernel(fitted_surf).stats.hit_rate == 0.0

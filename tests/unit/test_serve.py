@@ -1,14 +1,14 @@
-"""Unit tests for artifact bundles and the SuRFService serving layer."""
+"""Unit tests for artifact bundles and single-model serving through ServiceKernel."""
 
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.api import ServiceKernel, ServiceStats, normalize_query
 from repro.core.finder import SuRF
 from repro.core.query import RegionQuery
 from repro.exceptions import NotFittedError, ValidationError
-from repro.serve.service import ServiceStats, SuRFService
 from repro.surrogate.persistence import BUNDLE_VERSION, load_bundle, save_bundle
 
 
@@ -93,42 +93,41 @@ class TestArtifactBundles:
 class TestServiceBasics:
     def test_service_requires_fitted_finder(self):
         with pytest.raises(NotFittedError):
-            SuRFService(SuRF())
+            ServiceKernel(SuRF())
 
     def test_service_rejects_invalid_configuration(self, fitted_surf):
         with pytest.raises(ValidationError):
-            SuRFService(fitted_surf, cache_size=-1)
+            ServiceKernel(fitted_surf, cache_size=-1)
         with pytest.raises(ValidationError):
-            SuRFService(fitted_surf, min_satisfiability=1.0)
+            ServiceKernel(fitted_surf, min_satisfiability=1.0)
         with pytest.raises(ValidationError):
-            SuRFService(fitted_surf, max_workers=0)
+            ServiceKernel(fitted_surf, max_workers=0)
         with pytest.raises(ValidationError):
-            SuRFService("not-a-finder")
+            ServiceKernel("not-a-finder")
 
     def test_from_bundle_builds_working_service(self, fitted_surf, density_query, tmp_path):
         path = fitted_surf.save(tmp_path / "finder.surf")
-        service = SuRFService.from_bundle(path)
-        response = service.find_regions(density_query)
+        service = ServiceKernel.from_bundle(path)
+        response = service.handle(density_query)
         assert response.status == "served"
         assert response.proposals
 
-    def test_normalize_query_canonicalises_numpy_scalars(self, fitted_surf, density_query):
-        service = SuRFService(fitted_surf)
+    def test_normalize_query_canonicalises_numpy_scalars(self, density_query):
         twin = RegionQuery(
             threshold=np.float64(density_query.threshold),
             direction=density_query.direction,
             size_penalty=np.float64(density_query.size_penalty),
         )
-        assert service.normalize_query(twin) == service.normalize_query(density_query)
+        assert normalize_query(twin) == normalize_query(density_query)
         with pytest.raises(ValidationError):
-            service.normalize_query("not-a-query")
+            normalize_query("not-a-query")
 
 
 class TestCaching:
     def test_repeated_query_is_answered_from_cache_without_gso(self, fitted_surf, density_query):
-        service = SuRFService(fitted_surf)
-        first = service.find_regions(density_query)
-        second = service.find_regions(density_query)
+        service = ServiceKernel(fitted_surf)
+        first = service.handle(density_query)
+        second = service.handle(density_query)
         assert first.status == "served"
         assert second.status == "cached"
         assert second.result is first.result
@@ -140,14 +139,14 @@ class TestCaching:
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_numpy_threshold_hits_float_cache_entry(self, fitted_surf, density_query):
-        service = SuRFService(fitted_surf)
-        service.find_regions(density_query)
+        service = ServiceKernel(fitted_surf)
+        service.handle(density_query)
         twin = RegionQuery(
             threshold=np.float64(density_query.threshold),
             direction=density_query.direction,
             size_penalty=density_query.size_penalty,
         )
-        assert service.find_regions(twin).status == "cached"
+        assert service.handle(twin).status == "cached"
 
     def test_lru_eviction_recomputes_oldest_query(self, fitted_surf, density_query):
         other = RegionQuery(
@@ -155,23 +154,23 @@ class TestCaching:
             direction="above",
             size_penalty=density_query.size_penalty,
         )
-        service = SuRFService(fitted_surf, cache_size=1)
-        service.find_regions(density_query)
-        service.find_regions(other)  # evicts density_query
+        service = ServiceKernel(fitted_surf, cache_size=1)
+        service.handle(density_query)
+        service.handle(other)  # evicts density_query
         assert service.cached_queries == 1
-        assert service.find_regions(density_query).status == "served"
+        assert service.handle(density_query).status == "served"
         assert service.stats.gso_runs == 3
 
     def test_cache_size_zero_disables_caching(self, fitted_surf, density_query):
-        service = SuRFService(fitted_surf, cache_size=0)
-        assert service.find_regions(density_query).status == "served"
-        assert service.find_regions(density_query).status == "served"
+        service = ServiceKernel(fitted_surf, cache_size=0)
+        assert service.handle(density_query).status == "served"
+        assert service.handle(density_query).status == "served"
         assert service.stats.gso_runs == 2
         assert service.cached_queries == 0
 
     def test_clear_cache_and_reset_stats(self, fitted_surf, density_query):
-        service = SuRFService(fitted_surf)
-        service.find_regions(density_query)
+        service = ServiceKernel(fitted_surf)
+        service.handle(density_query)
         service.clear_cache()
         assert service.cached_queries == 0
         service.reset_stats()
@@ -180,22 +179,22 @@ class TestCaching:
 
 class TestSatisfiabilityGate:
     def test_hopeless_threshold_rejected_without_gso(self, fitted_surf, hopeless_query):
-        service = SuRFService(fitted_surf)
-        response = service.find_regions(hopeless_query)
+        service = ServiceKernel(fitted_surf)
+        response = service.handle(hopeless_query)
         assert response.status == "rejected"
         assert response.satisfiability == 0.0
         assert response.result is None
-        assert response.proposals == []
+        assert response.proposals == ()
         stats = service.stats
         assert stats.rejected == 1
         assert stats.gso_runs == 0
 
     def test_gate_threshold_is_configurable(self, fitted_surf, density_query):
         probability = fitted_surf.satisfiability(density_query)
-        permissive = SuRFService(fitted_surf, min_satisfiability=0.0)
-        strict = SuRFService(fitted_surf, min_satisfiability=min(0.99, probability + 1e-9))
-        assert permissive.find_regions(density_query).status == "served"
-        assert strict.find_regions(density_query).status == "rejected"
+        permissive = ServiceKernel(fitted_surf, min_satisfiability=0.0)
+        strict = ServiceKernel(fitted_surf, min_satisfiability=min(0.99, probability + 1e-9))
+        assert permissive.handle(density_query).status == "served"
+        assert strict.handle(density_query).status == "rejected"
         assert strict.stats.gso_runs == 0
 
 
@@ -208,21 +207,22 @@ class TestBatchServing:
         )
         burst = [density_query, hopeless_query, variant, density_query, variant]
 
-        sequential_service = SuRFService(fitted_surf)
-        sequential = [sequential_service.find_regions(query) for query in burst]
-        batch_service = SuRFService(fitted_surf)
-        batched = batch_service.find_regions_batch(burst)
+        sequential_service = ServiceKernel(fitted_surf)
+        sequential = [sequential_service.handle(query) for query in burst]
+        batch_service = ServiceKernel(fitted_surf)
+        batched = batch_service.handle_batch(burst)
 
-        assert [response.query for response in batched] == [response.query for response in sequential]
+        assert len(batched) == len(burst)
         for before, after in zip(sequential, batched):
+            assert after.satisfiability == before.satisfiability
             if before.status == "rejected":
                 assert after.status == "rejected"
                 continue
-            assert proposals_identical(before.proposals, after.proposals)
+            assert proposals_identical(before.result.proposals, after.result.proposals)
 
     def test_batch_coalesces_duplicates_into_one_gso_run(self, fitted_surf, density_query):
-        service = SuRFService(fitted_surf)
-        responses = service.find_regions_batch([density_query] * 4)
+        service = ServiceKernel(fitted_surf)
+        responses = service.handle_batch([density_query] * 4)
         assert [response.status for response in responses] == ["served"] * 4
         assert all(response.result is responses[0].result for response in responses)
         stats = service.stats
@@ -232,9 +232,9 @@ class TestBatchServing:
         assert stats.gso_runs == 1
 
     def test_batch_uses_cache_from_earlier_requests(self, fitted_surf, density_query, hopeless_query):
-        service = SuRFService(fitted_surf)
-        service.find_regions(density_query)
-        responses = service.find_regions_batch([density_query, hopeless_query, density_query])
+        service = ServiceKernel(fitted_surf)
+        service.handle(density_query)
+        responses = service.handle_batch([density_query, hopeless_query, density_query])
         assert [response.status for response in responses] == ["cached", "rejected", "cached"]
         assert service.stats.gso_runs == 1
 
@@ -244,13 +244,13 @@ class TestBatchServing:
             direction="above",
             size_penalty=density_query.size_penalty,
         )
-        service = SuRFService(fitted_surf)
-        responses = service.find_regions_batch([density_query, variant], max_workers=1)
+        service = ServiceKernel(fitted_surf)
+        responses = service.handle_batch([density_query, variant], max_workers=1)
         assert [response.status for response in responses] == ["served", "served"]
         assert service.stats.gso_runs == 2
 
     def test_empty_batch_returns_empty_list(self, fitted_surf):
-        assert SuRFService(fitted_surf).find_regions_batch([]) == []
+        assert ServiceKernel(fitted_surf).handle_batch([]) == []
 
     def test_shared_generator_finder_falls_back_to_one_worker(
         self, density_workload, density_query, fast_trainer
@@ -267,12 +267,12 @@ class TestBatchServing:
             random_state=shared,
         )
         finder.fit(density_workload)
-        service = SuRFService(finder)
+        service = ServiceKernel(finder)
         assert service._uses_shared_generator()
         variant = RegionQuery(threshold=density_query.threshold * 0.9, direction="above")
-        responses = service.find_regions_batch([density_query, variant], max_workers=4)
+        responses = service.handle_batch([density_query, variant], max_workers=4)
         assert [response.status for response in responses] == ["served", "served"]
         assert service.stats.gso_runs == 2
 
     def test_seeded_finder_does_not_trigger_fallback(self, fitted_surf):
-        assert not SuRFService(fitted_surf)._uses_shared_generator()
+        assert not ServiceKernel(fitted_surf)._uses_shared_generator()

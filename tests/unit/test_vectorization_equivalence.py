@@ -10,6 +10,7 @@ isolated particles.
 
 import numpy as np
 import pytest
+from gso_reference import ReferenceGlowwormSwarmOptimizer
 
 from repro.data.engine import DataEngine
 from repro.data.regions import Region, random_region
@@ -39,6 +40,10 @@ def infeasible_everywhere(vector: np.ndarray) -> float:
     return -np.inf
 
 
+#: The optimiser class behind each movement implementation.
+OPTIMIZERS = {"reference": ReferenceGlowwormSwarmOptimizer, "vectorized": GlowwormSwarmOptimizer}
+
+
 def run_gso(movement, objective, dim, seed, **kwargs):
     params = GSOParameters(
         num_particles=40,
@@ -47,9 +52,7 @@ def run_gso(movement, objective, dim, seed, **kwargs):
         convergence_patience=8,
         random_state=seed,
     )
-    optimizer = GlowwormSwarmOptimizer(
-        objective, [0.0] * dim, [1.0] * dim, params, movement=movement, **kwargs
-    )
+    optimizer = OPTIMIZERS[movement](objective, [0.0] * dim, [1.0] * dim, params, **kwargs)
     return optimizer.run()
 
 
@@ -97,13 +100,9 @@ class TestGSOMovementEquivalence:
             random_state=0,
         )
         runs = []
-        for movement in ("reference", "vectorized"):
-            optimizer = GlowwormSwarmOptimizer(
-                infeasible_everywhere,
-                [0.0, 0.0],
-                [1.0, 1.0],
-                GSOParameters(**params),
-                movement=movement,
+        for optimizer_cls in (ReferenceGlowwormSwarmOptimizer, GlowwormSwarmOptimizer):
+            optimizer = optimizer_cls(
+                infeasible_everywhere, [0.0, 0.0], [1.0, 1.0], GSOParameters(**params)
             )
             runs.append(optimizer.run())
         assert_identical_runs(*runs)
@@ -131,12 +130,6 @@ class TestGSOMovementEquivalence:
         reference = run_gso("reference", sphere, 2, seed, batch_objective=sphere_batch)
         vectorized = run_gso("vectorized", sphere, 2, seed, batch_objective=sphere_batch)
         assert_identical_runs(reference, vectorized)
-
-    def test_invalid_movement_mode_rejected(self):
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError):
-            GlowwormSwarmOptimizer(sphere, [0.0], [1.0], movement="warp")
 
 
 class TestPSOBatchEquivalence:
