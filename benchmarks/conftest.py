@@ -20,9 +20,10 @@ import pytest
 from repro.experiments.config import get_scale
 
 # The test-only oracles in tests/helpers: the API benchmark compares the
-# middleware chain against the frozen serving monolith (legacy_service.py), and
-# the movement microbenchmarks time the GSO kernel against the per-particle
-# loop (gso_reference.py).
+# middleware chain against the frozen serving monolith (legacy_service.py), the
+# movement microbenchmarks time the GSO kernel against the per-particle loop
+# (gso_reference.py), and the compiled-inference benchmarks time the tree
+# kernel against the recursive walk (recursive_predict.py).
 HELPERS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "helpers")
 if HELPERS_DIR not in sys.path:
     sys.path.insert(0, HELPERS_DIR)

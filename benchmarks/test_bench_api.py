@@ -37,6 +37,7 @@ import numpy as np
 import pytest
 
 from legacy_service import LegacySuRFService
+from recursive_predict import recursive_finder
 from repro.api import BatchContext, FindRequest, ModelRegistry, ServiceKernel
 from repro.core.finder import SuRF
 from repro.core.query import RegionQuery
@@ -220,11 +221,11 @@ def test_bench_batch_throughput_floor_is_retained(api_finder, api_burst):
 
 
 def test_bench_compiled_find_speedup(api_finder):
-    """End-to-end ``find`` with the compiled surrogate is >= 5x the recursive one.
+    """End-to-end default ``find`` is >= 5x the same find over the recursive walk.
 
-    Two finders, identical in every setting except the surrogate family
-    (``boosting`` vs ``compiled-boosting``), fitted on the same workload with
-    the same seed.  Bit-identical proposals are asserted before the latency
+    One fitted finder, and a copy of it whose surrogate predicts through the
+    recursive walk (``tests/helpers/recursive_predict.py``) instead of the
+    compiled tables.  Bit-identical proposals are asserted before the latency
     claim — the compiled kernel buys time, never answers.  The surrogate here
     is the paper-sized 150-tree ensemble (the ``api_finder`` fixture's 60-tree
     model is deliberately small for cache benchmarks), and density guidance is
@@ -237,22 +238,17 @@ def test_bench_compiled_find_speedup(api_finder):
     engine = DataEngine(engine.dataset, engine.statistic)
     workload = generate_workload(engine, 1_000, random_state=0)
 
-    def build(family):
-        finder = SuRF(
-            trainer=SurrogateTrainer(
-                estimator=family,
-                estimator_options={"n_estimators": 150, "max_depth": 5},
-                random_state=0,
-            ),
-            use_density_guidance=False,
-            gso_parameters=GSOParameters(num_particles=64, num_iterations=40, random_state=0),
+    compiled = SuRF(
+        trainer=SurrogateTrainer(
+            estimator="boosting",
+            estimator_options={"n_estimators": 150, "max_depth": 5},
             random_state=0,
-        )
-        finder.fit(workload)
-        return finder
-
-    recursive = build("boosting")
-    compiled = build("compiled-boosting")
+        ),
+        use_density_guidance=False,
+        gso_parameters=GSOParameters(num_particles=64, num_iterations=40, random_state=0),
+        random_state=0,
+    ).fit(workload)
+    recursive = recursive_finder(compiled)
     query = RegionQuery(
         threshold=float(recursive.satisfiability_.quantile(0.8)), direction="above"
     )

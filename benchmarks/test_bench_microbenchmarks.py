@@ -8,6 +8,7 @@ prediction, KDE region mass and one swarm iteration's worth of fitness calls.
 import numpy as np
 import pytest
 
+from recursive_predict import recursive_predict
 from repro.core.query import RegionQuery
 from repro.data.engine import DataEngine
 from repro.data.regions import Region
@@ -30,7 +31,7 @@ def prepared(bench_scale_module):
         estimator=GradientBoostingRegressor(n_estimators=80, max_depth=5, random_state=0), random_state=0
     )
     surrogate = trainer.train(workload)
-    density = RegionMassEstimator(method="kde", random_state=0).fit(
+    density = RegionMassEstimator(random_state=0).fit(
         synthetic.dataset.sample(min(1_000, synthetic.dataset.num_rows), random_state=0).values
     )
     probe = synthetic.ground_truth[0].region
@@ -231,9 +232,11 @@ def test_engine_evaluate_batch_speedup(evaluation_batch):
 
 
 # --------------------------------------------------------------------------- compiled inference
-# Compiled (flat SoA kernel, repro.ml.compiled) vs. recursive ensemble predict
-# on the two workload shapes the ISSUE names: a single row predicted 10,000
-# times (the scalar serving path) and one 10,000-row batch.  Floors:
+# Compiled (flat SoA kernel, repro.ml.compiled — what every tree model's
+# predict runs) vs. the recursive walk it replaced (the test-side oracle in
+# tests/helpers/recursive_predict.py) on two workload shapes: a single row
+# predicted 10,000 times (the scalar serving path) and one 10,000-row batch.
+# Floors:
 #
 # * single-row per-call speedup >= REPRO_SPEEDUP_FLOOR (default 5x; ~13x here),
 # * per-prediction cost of the compiled 10k-row batch vs. recursive single-row
@@ -278,7 +281,7 @@ def test_bench_compiled_single_row(benchmark, compiled_pair):
 
 def test_bench_recursive_single_row(benchmark, compiled_pair):
     estimator, _, single, _ = compiled_pair
-    result = benchmark(estimator.predict, single)
+    result = benchmark(recursive_predict, estimator, single)
     assert result.shape == (1,)
 
 
@@ -291,11 +294,11 @@ def test_bench_compiled_large_batch(benchmark, compiled_pair):
 def test_compiled_single_row_speedup(compiled_pair):
     """Compiled single-row predict is >= 5x the recursive walk, per call."""
     estimator, predictor, single, _ = compiled_pair
-    assert np.array_equal(estimator.predict(single), predictor.predict(single))
+    assert np.array_equal(recursive_predict(estimator, single), predictor.predict(single))
 
     def recursive_sample():
         for _ in range(RECURSIVE_CALL_SAMPLE):
-            estimator.predict(single)
+            recursive_predict(estimator, single)
 
     def compiled_all():
         for _ in range(SINGLE_ROW_CALLS):
@@ -315,11 +318,11 @@ def test_compiled_single_row_speedup(compiled_pair):
 def test_compiled_batch_per_prediction_speedup(compiled_pair):
     """One compiled 10k-row batch vs. 10k recursive single-row calls, per prediction."""
     estimator, predictor, _, batch = compiled_pair
-    assert np.array_equal(estimator.predict(batch), predictor.predict(batch))
+    assert np.array_equal(recursive_predict(estimator, batch), predictor.predict(batch))
 
     def recursive_calls():
         for row in batch[:RECURSIVE_CALL_SAMPLE]:
-            estimator.predict(row[None, :])
+            recursive_predict(estimator, row[None, :])
 
     def compiled_batch():
         predictor.predict(batch)
@@ -340,7 +343,7 @@ def test_compiled_equal_batch_no_regression(compiled_pair):
     estimator, predictor, _, batch = compiled_pair
 
     time_recursive, time_compiled = _best_of(
-        lambda: estimator.predict(batch), lambda: predictor.predict(batch), rounds=5
+        lambda: recursive_predict(estimator, batch), lambda: predictor.predict(batch), rounds=5
     )
     ratio = time_recursive / time_compiled
     print(

@@ -11,14 +11,13 @@ registry       built-in names                              lives in
 STATISTICS     count/density, average/aggregate, sum,      :mod:`repro.data.statistics`
                variance, median, ratio
 BACKENDS       numpy, chunked, sqlite, sharded             :mod:`repro.backends`
-SURROGATES     boosting, compiled-boosting, forest, tree,  :mod:`repro.ml`
-               knn, linear, ridge
+SURROGATES     boosting, forest, tree, knn, linear, ridge  :mod:`repro.ml`
 OPTIMIZERS     gso, pso                                    :mod:`repro.optim`
 =============  ==========================================  =======================
 
-``compiled-boosting`` is gradient boosting whose predictions run through the
-flat SoA kernel of :mod:`repro.ml.compiled` — bit-identical to ``boosting``
-on the same seed, only faster at query time.
+The tree families predict through the flat SoA kernel of
+:mod:`repro.ml.compiled`; ``compiled-boosting`` (``compiled-gbrt``) remains
+an alias of ``boosting`` so existing config dicts still resolve.
 
 Third-party code registers new implementations (``BACKENDS.register("my-db",
 factory)``) and they become constructible everywhere a name is accepted —

@@ -3,12 +3,10 @@
 * :class:`NaiveGridSearch` — the Section II-A exhaustive discretised search.
 * :class:`PRIM` — Friedman & Fisher's Patient Rule Induction Method.
 * :class:`TrueFunctionGSO` — GSO driven by the true statistic (``f+GlowWorm``).
-* :class:`TopKRegionFinder` — the related-work top-k formulation.
 """
 
 from repro.baselines.naive import NaiveGridSearch
 from repro.baselines.prim import PRIM, PrimBox
-from repro.baselines.topk import TopKRegionFinder
 from repro.baselines.true_gso import TrueFunctionGSO
 
-__all__ = ["NaiveGridSearch", "PRIM", "PrimBox", "TrueFunctionGSO", "TopKRegionFinder"]
+__all__ = ["NaiveGridSearch", "PRIM", "PrimBox", "TrueFunctionGSO"]

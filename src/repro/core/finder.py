@@ -85,8 +85,6 @@ class SuRF:
     use_density_guidance:
         Whether to re-weight neighbour selection by KDE region mass (Eq. 8).
         Requires a data sample at fit time; silently disabled otherwise.
-    density_method:
-        ``"kde"`` or ``"histogram"`` for the density guidance model.
     gso_parameters:
         Swarm parameters; when omitted they are scaled to the solution-space
         dimensionality with :meth:`GSOParameters.for_dimension`.
@@ -110,7 +108,6 @@ class SuRF:
         trainer: Optional[SurrogateTrainer] = None,
         objective: ObjectiveKind = "log",
         use_density_guidance: bool = True,
-        density_method: str = "kde",
         gso_parameters: Optional[GSOParameters] = None,
         min_half_fraction: float = 0.005,
         max_half_fraction: float = 0.5,
@@ -123,7 +120,6 @@ class SuRF:
         self.trainer = trainer if trainer is not None else SurrogateTrainer(random_state=random_state)
         self.objective_kind = objective
         self.use_density_guidance = bool(use_density_guidance)
-        self.density_method = density_method
         self.gso_parameters = gso_parameters
         self.min_half_fraction = float(min_half_fraction)
         self.max_half_fraction = float(max_half_fraction)
@@ -168,9 +164,7 @@ class SuRF:
                 raise ValidationError(
                     "data_sample must be a (n, d) array matching the workload's region dimensionality"
                 )
-            self.density_ = RegionMassEstimator(
-                method=self.density_method, random_state=self.random_state
-            ).fit(sample)
+            self.density_ = RegionMassEstimator(random_state=self.random_state).fit(sample)
         return self
 
     @classmethod
@@ -240,17 +234,6 @@ class SuRF:
             )
         initial_positions = self._initial_positions(objective, parameters, space)
 
-        selection_weight = None
-        batch_selection_weight = None
-        if self.density_ is not None:
-            density = self.density_
-
-            def selection_weight(vector: np.ndarray) -> float:
-                return density.mass_of_vector(vector)
-
-            def batch_selection_weight(vectors: np.ndarray) -> np.ndarray:
-                return density.mass_of_vectors(vectors)
-
         lower, upper = space.bounds_vectors()
         optimizer = GlowwormSwarmOptimizer(
             objective=objective,
@@ -258,8 +241,7 @@ class SuRF:
             upper_bounds=upper,
             parameters=parameters,
             batch_objective=objective.evaluate_batch,
-            selection_weight=selection_weight,
-            batch_selection_weight=batch_selection_weight,
+            batch_selection_weight=None if self.density_ is None else self.density_.mass_of_vectors,
             initial_positions=initial_positions,
             profile_hook=profile_hook,
         )

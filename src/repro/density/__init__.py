@@ -1,4 +1,4 @@
-"""Density-estimation substrate: KDE and histogram estimators plus region mass.
+"""Density-estimation substrate: the Gaussian KDE and its region mass.
 
 SuRF approximates the data distribution ``p_A(a)`` with Kernel Density
 Estimation (over a sample for large datasets) and uses the probability mass of
@@ -6,8 +6,7 @@ a candidate region under that estimate to steer glowworms away from empty
 space (Eq. 8 of the paper).
 """
 
-from repro.density.histogram import HistogramDensityEstimator
 from repro.density.kde import GaussianKDE
 from repro.density.region_mass import RegionMassEstimator
 
-__all__ = ["GaussianKDE", "HistogramDensityEstimator", "RegionMassEstimator"]
+__all__ = ["GaussianKDE", "RegionMassEstimator"]

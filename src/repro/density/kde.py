@@ -102,27 +102,6 @@ class GaussianKDE:
         self._check_fitted()
         return self._bandwidths.copy()
 
-    def pdf(self, points) -> np.ndarray:
-        """Density estimate at each row of ``points``."""
-        self._check_fitted()
-        points = check_array(points, name="points", ndim=2)
-        if points.shape[1] != self.dim:
-            raise ValidationError(
-                f"points have dimensionality {points.shape[1]}, KDE has {self.dim}"
-            )
-        samples = self._samples
-        bandwidths = self._bandwidths
-        norm = np.prod(bandwidths) * (2 * np.pi) ** (self.dim / 2.0)
-        densities = np.empty(points.shape[0], dtype=np.float64)
-        # Chunk over query points to bound the (n_query, n_sample) intermediate.
-        chunk = max(1, int(2_000_000 / max(samples.shape[0], 1)))
-        for start in range(0, points.shape[0], chunk):
-            block = points[start : start + chunk]
-            z = (block[:, None, :] - samples[None, :, :]) / bandwidths
-            kernel = np.exp(-0.5 * np.sum(z**2, axis=2))
-            densities[start : start + chunk] = kernel.sum(axis=1) / (samples.shape[0] * norm)
-        return densities
-
     def region_mass(self, region: Region) -> float:
         """Probability mass of an axis-aligned region under the KDE.
 
@@ -162,11 +141,3 @@ class GaussianKDE:
             per_dim = ndtr(upper_z) - ndtr(lower_z)
             masses[start : start + chunk] = np.prod(per_dim, axis=2).mean(axis=1)
         return masses
-
-    def sample(self, size: int, random_state=None) -> np.ndarray:
-        """Draw samples from the fitted KDE (kernel mixture sampling)."""
-        self._check_fitted()
-        rng = ensure_rng(random_state)
-        rows = rng.integers(0, self._samples.shape[0], size=int(size))
-        noise = rng.normal(0.0, 1.0, size=(int(size), self.dim)) * self._bandwidths
-        return self._samples[rows] + noise

@@ -9,9 +9,9 @@ uses, implemented on top of numpy only:
   ``learning_rate``, ``max_depth``, ``n_estimators``, ``reg_lambda``),
 * random forest, k-nearest-neighbours and ridge regression as alternative
   surrogate families,
-* compiled inference (:mod:`repro.ml.compiled`): fitted tree ensembles
-  flattened into structure-of-arrays node tables and traversed by a
-  vectorised level-synchronous kernel, bit-identical to the recursive path,
+* compiled inference (:mod:`repro.ml.compiled`): fitted trees and tree
+  ensembles flattened into structure-of-arrays node tables and traversed by a
+  vectorised level-synchronous kernel — the only way the tree models predict,
 * train/test splitting, K-fold cross-validation and grid-search
   hyper-parameter tuning,
 * regression metrics (RMSE, MAE, R²).
@@ -19,7 +19,7 @@ uses, implemented on top of numpy only:
 
 from repro.ml.base import BaseEstimator, clone
 from repro.ml.boosting import GradientBoostingRegressor
-from repro.ml.compiled import CompiledGradientBoostingRegressor, CompiledPredictor
+from repro.ml.compiled import CompiledPredictor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.linear import LinearRegression, RidgeRegression
@@ -32,10 +32,15 @@ from repro.utils.registry import Registry
 #: Plugin registry of surrogate estimator families, keyed by short name.
 #: ``SurrogateTrainer(estimator="forest")`` and config-driven construction
 #: through :mod:`repro.api.registries` resolve names here; register new
-#: families via ``SURROGATES.register(name, estimator_cls)``.
+#: families via ``SURROGATES.register(name, estimator_cls)``.  Every tree
+#: family predicts through the compiled kernel, so ``"compiled-boosting"`` and
+#: ``"compiled-gbrt"`` are kept only as aliases of ``"boosting"``.
 SURROGATES = Registry("surrogate family")
-SURROGATES.register("boosting", GradientBoostingRegressor, aliases=("gbrt", "xgboost-like"))
-SURROGATES.register("compiled-boosting", CompiledGradientBoostingRegressor, aliases=("compiled-gbrt",))
+SURROGATES.register(
+    "boosting",
+    GradientBoostingRegressor,
+    aliases=("gbrt", "xgboost-like", "compiled-boosting", "compiled-gbrt"),
+)
 SURROGATES.register("forest", RandomForestRegressor, aliases=("random-forest",))
 SURROGATES.register("tree", DecisionTreeRegressor)
 SURROGATES.register("knn", KNeighborsRegressor)
@@ -47,7 +52,6 @@ __all__ = [
     "clone",
     "DecisionTreeRegressor",
     "GradientBoostingRegressor",
-    "CompiledGradientBoostingRegressor",
     "CompiledPredictor",
     "RandomForestRegressor",
     "KNeighborsRegressor",

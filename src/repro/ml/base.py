@@ -84,32 +84,34 @@ class BaseEstimator(ABC):
             raise NotFittedError(f"{type(self).__name__} must be fitted before calling predict()")
 
     # ------------------------------------------------------------------ compiled inference
-    def compile(self, force: bool = False):
-        """Compile this fitted estimator into a flat SoA predictor and cache it.
+    def compile(self):
+        """Compile this fitted estimator into flat SoA tables and keep them on it.
 
-        Returns the cached :class:`~repro.ml.compiled.CompiledPredictor` when
-        one exists (pass ``force=True`` to rebuild), otherwise flattens the
-        fitted trees once and stores the result on the estimator — so the
-        predictor pickles (and ships inside artifact bundles) with the model.
+        Returns the tables the estimator already keeps, otherwise flattens the
+        fitted trees once and stores the
+        :class:`~repro.ml.compiled.CompiledPredictor` on the estimator — so the
+        tables pickle (and ship inside artifact bundles) with the model.
         Raises :class:`~repro.exceptions.ValidationError` for estimator
         families the compiler does not support or for unfitted estimators;
         probe with :meth:`repro.ml.compiled.CompiledPredictor.compilable`.
         """
         from repro.ml.compiled import CompiledPredictor
 
-        cached = getattr(self, "_compiled", None)
-        if cached is None or force:
-            cached = CompiledPredictor(self)
-            self._compiled = cached
-        return cached
+        if getattr(self, "_compiled", None) is None:
+            self._compiled = CompiledPredictor(self)
+        return self._compiled
 
-    def compiled_predict(self, features: np.ndarray) -> np.ndarray:
-        """Predict through the compiled kernel (compiling on first use).
+    def _predict_compiled(self, features) -> np.ndarray:
+        """Predict through the compiled tables — the only way a tree model predicts.
 
-        Bit-identical to :meth:`predict` for compilable families — see
-        :mod:`repro.ml.compiled`.
+        Trained and loaded models already carry their tables, so this only
+        reads them; an estimator unpickled without tables (a version 1–2
+        bundle, a hand-built tree) compiles once, on its first predict.
         """
-        return self.compile().predict(features)
+        compiled = getattr(self, "_compiled", None)
+        if compiled is None:
+            compiled = self.compile()
+        return compiled.predict(features)
 
     def _invalidate_compiled(self) -> None:
         """Drop any cached compiled predictor.  Every ``fit`` path must call

@@ -103,10 +103,6 @@ class GradientBoostingRegressor(BaseEstimator):
                     f"warm_start requires n_estimators > the {len(self._trees)} trees already "
                     f"fitted, got n_estimators={self.n_estimators}"
                 )
-        # Invalidate on entry as well as on exit: a warm-start continuation
-        # calls self.predict() below, which would otherwise cache a compiled
-        # predictor of the mid-fit ensemble while new trees are still pending.
-        self._invalidate_compiled()
         rng = ensure_rng(self.random_state)
         self._num_features = features.shape[1]
 
@@ -125,6 +121,8 @@ class GradientBoostingRegressor(BaseEstimator):
         if continuing:
             # Resume from the existing ensemble: its predictions on the data
             # now provided are the starting point the new rounds boost from.
+            # They run through the tables the ensemble already carries (a
+            # pickled clone keeps them).
             predictions = self.predict(features)
             valid_predictions = self.predict(valid_features) if use_early_stopping else None
         else:
@@ -138,6 +136,8 @@ class GradientBoostingRegressor(BaseEstimator):
             self._trees = []
             self.train_scores_ = []
             self.validation_scores_ = []
+        # Any tables describe the ensemble before this fit.
+        self._invalidate_compiled()
 
         binned = bin_features(features, max_bins=int(self.max_bins))
         best_valid = (
@@ -146,6 +146,8 @@ class GradientBoostingRegressor(BaseEstimator):
             else np.inf
         )
         rounds_without_improvement = 0
+
+        from repro.ml.compiled import CompiledPredictor
 
         for _ in range(int(self.n_estimators) - len(self._trees)):
             residuals = targets - predictions
@@ -165,12 +167,15 @@ class GradientBoostingRegressor(BaseEstimator):
                 tree._fit_binned(binned, residuals)
             self._trees.append(tree)
 
-            update = float(self.learning_rate) * tree.predict(features)
+            # Score the new tree through the kernel without keeping its
+            # tables: per-tree tables would ride along in every pickle.
+            scorer = CompiledPredictor(tree)
+            update = float(self.learning_rate) * scorer.predict(features)
             predictions += update
             self.train_scores_.append(float(np.sqrt(np.mean((targets - predictions) ** 2))))
 
             if use_early_stopping:
-                valid_predictions += float(self.learning_rate) * tree.predict(valid_features)
+                valid_predictions += float(self.learning_rate) * scorer.predict(valid_features)
                 valid_rmse = float(np.sqrt(np.mean((valid_targets - valid_predictions) ** 2)))
                 self.validation_scores_.append(valid_rmse)
                 if valid_rmse < best_valid - 1e-12:
@@ -180,7 +185,6 @@ class GradientBoostingRegressor(BaseEstimator):
                     rounds_without_improvement += 1
                     if rounds_without_improvement >= int(self.early_stopping_rounds):
                         break
-        self._invalidate_compiled()
         return self
 
     def _validate_hyper_parameters(self) -> None:
@@ -196,20 +200,7 @@ class GradientBoostingRegressor(BaseEstimator):
     # ------------------------------------------------------------------ prediction
     def predict(self, features) -> np.ndarray:
         self._check_fitted("_trees")
-        features = self._validate_predict_inputs(features, self._num_features)
-        predictions = np.full(features.shape[0], self._base_prediction)
-        for tree in self._trees:
-            predictions += float(self.learning_rate) * tree.predict(features)
-        return predictions
-
-    def staged_predict(self, features):
-        """Yield predictions after each boosting round (useful for learning curves)."""
-        self._check_fitted("_trees")
-        features = self._validate_predict_inputs(features, self._num_features)
-        predictions = np.full(features.shape[0], self._base_prediction)
-        for tree in self._trees:
-            predictions = predictions + float(self.learning_rate) * tree.predict(features)
-            yield predictions.copy()
+        return self._predict_compiled(features)
 
     @property
     def num_trees_(self) -> int:

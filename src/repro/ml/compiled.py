@@ -1,10 +1,12 @@
 """Compiled surrogate inference: flat structure-of-arrays tree ensembles.
 
-The recursive :meth:`~repro.ml.tree.DecisionTreeRegressor.predict` walks a
-linked ``_Node`` structure with one Python call (and several small numpy
-temporaries) per node.  Inside the GSO loop that cost dominates query latency:
-a single ``find`` issues thousands of surrogate evaluations over swarm-sized
-batches, and per-node Python overhead swamps the actual arithmetic.
+Every tree model in :mod:`repro.ml` — :class:`~repro.ml.tree.DecisionTreeRegressor`,
+:class:`~repro.ml.forest.RandomForestRegressor` and
+:class:`~repro.ml.boosting.GradientBoostingRegressor` — predicts only through
+this module.  Walking the linked ``_Node`` structure costs one Python visit
+(and several small numpy temporaries) per node; inside the GSO loop a single
+``find`` issues thousands of surrogate evaluations over swarm-sized batches,
+and per-node Python overhead would swamp the actual arithmetic.
 
 :class:`CompiledPredictor` flattens a fitted ensemble once into five parallel
 node tables — ``feature``, ``threshold``, ``left_child``, ``right_child`` and
@@ -20,16 +22,20 @@ advances every (tree, row) pair one level and leaves parked leaves in place.
 The numpy kernel applies that update level-synchronously to the whole
 ``(num_trees, num_rows)`` frontier, so one ``find``'s worth of surrogate calls
 becomes ``max_depth`` vectorised gathers instead of ``num_trees x num_nodes``
-Python visits (~10-30x on swarm-sized batches; large batches are processed in
-cache-sized chunks).
+Python visits (large batches are processed in cache-sized chunks).
 
-Predictions are **bit-identical** to the recursive path, not merely close:
-leaf routing uses the same ``x <= threshold`` comparison on the same float64
-values, and per-row aggregation replays the recursive path's exact operation
-order (sequential ``out += learning_rate * tree_prediction`` for boosting,
-``stacked.mean(axis=0)`` for forests).  ``tests/unit/test_compiled.py`` and
-``tests/property/test_property_compiled.py`` hold ``np.array_equal`` across
-families, hyper-parameters and warm-start rounds.
+The trainer compiles each model it returns once
+(:meth:`~repro.ml.base.BaseEstimator.compile` keeps the tables on the
+estimator, so they pickle with it); an estimator without tables compiles on
+its first predict.  Predictions are **bit-identical** to the recursive walk,
+not merely close: leaf routing uses the same ``x <= threshold`` comparison on
+the same float64 values, and per-row aggregation replays the walk's exact
+operation order (sequential ``out += learning_rate * tree_prediction`` for
+boosting, ``stacked.mean(axis=0)`` for forests).  The walk itself survives
+only as the test oracle ``tests/helpers/recursive_predict.py``, against which
+``tests/unit/test_compiled.py`` and ``tests/property/test_property_compiled.py``
+hold ``np.array_equal`` across families, hyper-parameters and warm-start
+rounds.
 """
 
 from __future__ import annotations
@@ -225,8 +231,8 @@ class CompiledPredictor:
 
     # ------------------------------------------------------------------ prediction
     def predict(self, features) -> np.ndarray:
-        """Predict targets for ``features`` (``(n, p)``), bit-identical to the
-        recursive ensemble the tables were compiled from."""
+        """Predict targets for ``features`` (``(n, p)``), bit-identical to a
+        recursive walk of the ensemble the tables were compiled from."""
         features = check_array(features, name="features", ndim=2)
         if features.shape[1] != self._num_features:
             raise ValidationError(
@@ -258,7 +264,7 @@ class CompiledPredictor:
 
     def _aggregate(self, leaves: np.ndarray, out: np.ndarray) -> None:
         """Combine the (num_trees, n) leaf matrix into ``out`` replaying the
-        recursive path's exact float operation order (see module docstring)."""
+        recursive walk's exact float operation order (see module docstring)."""
         if self._aggregation == "sum":
             out[:] = self._base
             for row in leaves:
@@ -269,21 +275,4 @@ class CompiledPredictor:
             out[:] = leaves[0]
 
 
-class CompiledGradientBoostingRegressor(GradientBoostingRegressor):
-    """Gradient boosting whose ``predict`` runs on the compiled SoA kernel.
-
-    Training is inherited unchanged from
-    :class:`~repro.ml.boosting.GradientBoostingRegressor` (including warm-start
-    continuation, whose internal resume predictions also run compiled), and
-    predictions are bit-identical to the recursive parent by construction —
-    only faster.  Registered in the :data:`repro.ml.SURROGATES` registry as
-    ``"compiled-boosting"``, so ``SurrogateTrainer(estimator="compiled-boosting")``
-    and config-driven deployments pick it up by name.
-    """
-
-    def predict(self, features) -> np.ndarray:
-        self._check_fitted("_trees")
-        return self.compile().predict(features)
-
-
-__all__ = ["CompiledPredictor", "CompiledGradientBoostingRegressor"]
+__all__ = ["CompiledPredictor"]

@@ -83,6 +83,4 @@ class RandomForestRegressor(BaseEstimator):
 
     def predict(self, features) -> np.ndarray:
         self._check_fitted("_trees")
-        features = self._validate_predict_inputs(features, self._num_features)
-        stacked = np.stack([tree.predict(features) for tree in self._trees])
-        return stacked.mean(axis=0)
+        return self._predict_compiled(features)

@@ -234,25 +234,7 @@ class DecisionTreeRegressor(BaseEstimator):
     # ------------------------------------------------------------------ prediction
     def predict(self, features) -> np.ndarray:
         self._check_fitted("_root")
-        features = self._validate_predict_inputs(features, self._num_features)
-        predictions = np.empty(features.shape[0], dtype=np.float64)
-        self._predict_into(self._root, features, np.arange(features.shape[0]), predictions)
-        return predictions
-
-    def _predict_into(self, node: _Node, features: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None:
-        # Iterative with an explicit stack: recursion would consume one Python
-        # frame per split level, and an unconstrained depth-first chain (e.g.
-        # max_depth=None-style fits on monotone targets) can approach the
-        # interpreter's recursion limit.
-        stack = [(node, indices)]
-        while stack:
-            node, indices = stack.pop()
-            if node.is_leaf or indices.size == 0:
-                out[indices] = node.value
-                continue
-            mask = features[indices, node.feature] <= node.threshold
-            stack.append((node.right, indices[~mask]))
-            stack.append((node.left, indices[mask]))
+        return self._predict_compiled(features)
 
     # ------------------------------------------------------------------ introspection
     def depth(self) -> int:

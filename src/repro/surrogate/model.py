@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 import numpy as np
 
 from repro.data.regions import Region
@@ -18,9 +16,10 @@ class SurrogateModel:
     The wrapper remembers the region dimensionality it was trained for and
     exposes both vector-level (``predict``) and region-level
     (``predict_region``) interfaces; the optimiser uses the former, analysts
-    the latter.  Prediction never mutates the wrapper or the estimator, so one
-    fitted surrogate can be shared across the serving layer's concurrent GSO
-    runs (:mod:`repro.api`) without locking.  When ``augment_features`` is
+    the latter.  The trainer compiles a tree model's tables before handing
+    it out and bundles ship them, so prediction never mutates the wrapper or
+    the estimator, and one fitted surrogate can be shared across the serving
+    layer's concurrent GSO runs (:mod:`repro.api`) without locking.  When ``augment_features`` is
     set, the same feature map used at
     training time (:func:`repro.surrogate.features.augment_region_vectors`) is
     applied before every prediction — callers always pass plain ``[x, l]``
@@ -82,11 +81,6 @@ class SurrogateModel:
                 f"region has dimensionality {region.dim}, surrogate expects {self._region_dim}"
             )
         return self.predict_vector(region.to_vector())
-
-    def predict_regions(self, regions: Iterable[Region]) -> np.ndarray:
-        """Predict statistics for an iterable of regions."""
-        vectors = np.stack([region.to_vector() for region in regions])
-        return self.predict(vectors)
 
     # ------------------------------------------------------------------ evaluation
     def rmse(self, features: np.ndarray, targets: np.ndarray) -> float:

@@ -44,8 +44,10 @@ BUNDLE_FORMAT = "surf-bundle"
 #: Version 3 ships the surrogate's compiled SoA node tables inside the pickled
 #: estimator (:mod:`repro.ml.compiled`), so a loaded bundle serves queries
 #: through the vectorised kernel without paying recompilation; versions 1–2
-#: still load (the estimator simply recompiles lazily on first use).
-BUNDLE_VERSION = 3
+#: still load (the estimator compiles on its first predict).  Version 4 drops
+#: the ``density_method`` setting: the Eq. 8 density model is always the KDE,
+#: and loads ignore the key in older bundles.
+BUNDLE_VERSION = 4
 
 
 def save_workload(workload: RegionWorkload, path: PathLike) -> Path:
@@ -120,8 +122,9 @@ def save_bundle(finder: "SuRF", path: PathLike) -> Path:
         raise ValidationError(f"expected a SuRF finder, got {type(finder)!r}")
     if finder.surrogate_ is None or finder.solution_space_ is None:
         raise NotFittedError("only a fitted SuRF can be saved to a bundle")
-    # Ship the compiled SoA tables inside the bundle: compiling is cheap at
-    # save time and free at load time, so served models never recompile.
+    # Ship the compiled SoA tables inside the bundle, so served models never
+    # recompile.  Trained surrogates already carry them; one loaded from a
+    # version 1–2 bundle that has not predicted yet compiles here.
     estimator = getattr(finder.surrogate_, "estimator", None)
     if estimator is not None and CompiledPredictor.compilable(estimator):
         estimator.compile()
@@ -131,7 +134,6 @@ def save_bundle(finder: "SuRF", path: PathLike) -> Path:
         "config": {
             "objective": finder.objective_kind,
             "use_density_guidance": finder.use_density_guidance,
-            "density_method": finder.density_method,
             "min_half_fraction": finder.min_half_fraction,
             "max_half_fraction": finder.max_half_fraction,
             "overlap_threshold": finder.overlap_threshold,
@@ -182,7 +184,6 @@ def load_bundle(path: PathLike, finder_cls: type = None) -> "SuRF":
         trainer=payload["trainer"],
         objective=config["objective"],
         use_density_guidance=config["use_density_guidance"],
-        density_method=config["density_method"],
         gso_parameters=payload["gso_parameters"],
         min_half_fraction=config["min_half_fraction"],
         max_half_fraction=config["max_half_fraction"],

@@ -52,15 +52,14 @@ def _estimator_from_name(name: str, options: Dict[str, object], random_state) ->
 
 
 def _compile_if_possible(estimator: BaseEstimator) -> None:
-    """Eagerly compile a freshly fitted tree ensemble into SoA tables.
+    """Compile a freshly fitted tree model into SoA tables, once.
 
-    Called at the end of :meth:`SurrogateTrainer.train` and
-    :meth:`SurrogateTrainer.train_incremental` so surrogates come out of the
-    trainer query-ready: the GSO loop (and any serving layer) predicts through
-    the compiled kernel from the first call, and warm-start refreshes hand back
-    a recompiled ensemble rather than a stale one (``fit`` invalidates the
-    cache; this rebuilds it).  Families without a compiled form (kNN, linear)
-    pass through untouched.
+    Called by :meth:`SurrogateTrainer.train` and
+    :meth:`SurrogateTrainer.train_incremental` right after ``fit``, before the
+    trainer's own RMSE predictions read the tables.  Every surrogate leaves
+    the trainer query-ready: no ``find`` compiles, and a served model's
+    ``predict`` only reads its tables.  Families without a compiled form (kNN,
+    linear) pass through untouched.
     """
     from repro.ml.compiled import CompiledPredictor
 
@@ -231,6 +230,7 @@ class SurrogateTrainer:
             fitted = clone(self.estimator)
             fitted.fit(features_train, targets_train)
         elapsed = time.perf_counter() - start
+        _compile_if_possible(fitted)
 
         train_rmse = root_mean_squared_error(targets_train, fitted.predict(features_train))
         test_rmse = None
@@ -246,7 +246,6 @@ class SurrogateTrainer:
             test_rmse=test_rmse,
             cv_results=cv_results,
         )
-        _compile_if_possible(fitted)
         return SurrogateModel(fitted, workload.region_dim, augment_features=self.augment_features)
 
     def train_incremental(
@@ -305,6 +304,7 @@ class SurrogateTrainer:
         start = time.perf_counter()
         estimator.fit(features, targets)
         elapsed = time.perf_counter() - start
+        _compile_if_possible(estimator)
 
         # The boosting loop already tracks per-round training RMSE; reuse the
         # final entry instead of re-running the whole ensemble over the data.
@@ -321,7 +321,6 @@ class SurrogateTrainer:
             train_rmse=train_rmse,
             test_rmse=None,
         )
-        _compile_if_possible(estimator)
         return SurrogateModel(
             estimator, workload.region_dim, augment_features=surrogate.augments_features
         )

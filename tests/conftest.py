@@ -16,8 +16,10 @@ from hypothesis import settings
 
 # Make the test-only oracles in tests/helpers importable from every suite: the
 # frozen serving monolith (legacy_service.py), the bit-identity / overhead
-# baseline of the API equivalence tests and benchmark, and the per-particle GSO
-# movement loop (gso_reference.py) the vectorised kernel is checked against.
+# baseline of the API equivalence tests and benchmark, the per-particle GSO
+# movement loop (gso_reference.py) the vectorised kernel is checked against,
+# and the recursive tree walk (recursive_predict.py) the compiled tables are
+# checked against.
 HELPERS_DIR = os.path.join(os.path.dirname(__file__), "helpers")
 if HELPERS_DIR not in sys.path:
     sys.path.insert(0, HELPERS_DIR)

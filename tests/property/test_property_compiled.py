@@ -1,14 +1,16 @@
 """Property-based equivalence: compiled predictions are bit-identical to recursive.
 
 Hypothesis drives random datasets *and* random hyper-parameters through every
-compilable family; each example asserts exact ``np.array_equal`` equality —
-the compiled kernel owes the recursive path bit-identity, not tolerance.
+compilable family; each example asserts exact ``np.array_equal`` equality
+against the recursive walk (``tests/helpers/recursive_predict.py``) — the
+compiled kernel owes it bit-identity, not tolerance.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from recursive_predict import recursive_predict
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.compiled import CompiledPredictor
 from repro.ml.forest import RandomForestRegressor
@@ -27,9 +29,9 @@ def regression_data(draw, min_rows=12, max_rows=60, max_cols=3):
 
 
 def assert_equal_predictions(estimator, features):
-    recursive = estimator.predict(features)
-    compiled = CompiledPredictor(estimator).predict(features)
-    np.testing.assert_array_equal(recursive, compiled)
+    recursive = recursive_predict(estimator, features)
+    np.testing.assert_array_equal(estimator.predict(features), recursive)
+    np.testing.assert_array_equal(CompiledPredictor(estimator).predict(features), recursive)
 
 
 @given(regression_data(), st.integers(0, 8), st.integers(1, 4), st.integers(4, 32))
@@ -73,8 +75,9 @@ def test_boosting_compiled_equals_recursive(data, n_estimators, max_depth, learn
 @given(regression_data(min_rows=20), st.integers(1, 6), st.lists(st.integers(1, 5), min_size=1, max_size=3))
 @settings(max_examples=20)
 def test_boosting_equivalence_survives_warm_start_rounds(data, n_estimators, extra_rounds_seq):
-    # Every warm-start continuation appends trees to the live ensemble; the
-    # compiled cache must be rebuilt each round and stay bit-identical.
+    # Every warm-start continuation resumes from the tables of the ensemble it
+    # extends and appends trees to it; the tables must be rebuilt each round
+    # and stay bit-identical.
     features, targets = data
     model = GradientBoostingRegressor(
         n_estimators=n_estimators, max_depth=3, warm_start=True, random_state=0

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.naive import NaiveGridSearch
 from repro.baselines.prim import PRIM, PrimBox
-from repro.baselines.topk import TopKRegionFinder
 from repro.baselines.true_gso import TrueFunctionGSO
 from repro.core.evaluation import average_iou, compliance_rate
 from repro.core.query import RegionQuery
@@ -146,34 +145,3 @@ class TestTrueFunctionGSO:
         )
         baseline.find_regions(density_engine, density_query)
         assert baseline.last_result_.elapsed_seconds > 0
-
-
-class TestTopK:
-    def test_returns_k_proposals_sorted_desc(self, density_engine):
-        finder = TopKRegionFinder(num_candidates=200, random_state=0)
-        proposals = finder.find_regions(density_engine, k=5)
-        assert len(proposals) == 5
-        values = [proposal.predicted_value for proposal in proposals]
-        assert values == sorted(values, reverse=True)
-
-    def test_largest_false_returns_smallest(self, density_engine):
-        finder = TopKRegionFinder(num_candidates=100, random_state=0)
-        smallest = finder.find_regions(density_engine, k=3, largest=False)
-        largest = finder.find_regions(density_engine, k=3, largest=True)
-        assert max(p.predicted_value for p in smallest) <= min(p.predicted_value for p in largest)
-
-    def test_deduplication_reduces_overlap(self, density_engine):
-        finder = TopKRegionFinder(num_candidates=300, deduplicate=True, overlap_threshold=0.2, random_state=1)
-        proposals = finder.find_regions(density_engine, k=5)
-        for i in range(len(proposals)):
-            for j in range(i + 1, len(proposals)):
-                assert proposals[i].region.iou(proposals[j].region) < 0.2
-
-    def test_invalid_k_rejected(self, density_engine):
-        finder = TopKRegionFinder(num_candidates=10)
-        with pytest.raises(ValidationError):
-            finder.find_regions(density_engine, k=0)
-
-    def test_invalid_candidates_rejected(self):
-        with pytest.raises(ValidationError):
-            TopKRegionFinder(num_candidates=0)

@@ -2,8 +2,9 @@
 
 The central discipline here is *bit-identity*: every equivalence assertion is
 ``np.array_equal`` (exact float64 equality), never ``allclose`` — the compiled
-kernel must replay the recursive path's comparisons and float operation order,
-not merely approximate it.
+kernel must replay the recursive walk's comparisons and float operation order
+(the oracle in ``tests/helpers/recursive_predict.py``), not merely
+approximate it.
 """
 
 import pickle
@@ -12,24 +13,25 @@ import sys
 import numpy as np
 import pytest
 
-from repro.exceptions import NotFittedError, ValidationError
-from repro.ml.base import clone
+from recursive_predict import recursive_predict
+from repro.exceptions import ValidationError
+from repro.ml import SURROGATES
+from repro.ml.base import BaseEstimator
 from repro.ml.boosting import GradientBoostingRegressor
-from repro.ml.compiled import CompiledGradientBoostingRegressor, CompiledPredictor
+from repro.ml.compiled import CompiledPredictor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.tree import DecisionTreeRegressor, _Node
+from repro.core.finder import SuRF
 from repro.surrogate.training import SurrogateTrainer
 from repro.surrogate.workload import generate_workload
 
 
 def assert_equal_predictions(estimator, features):
-    """Recursive and compiled predictions must be *bit-identical*."""
-    recursive = estimator.predict(features)
-    compiled = CompiledPredictor(estimator).predict(features)
-    np.testing.assert_array_equal(recursive, compiled)
-    # The cached path through the estimator must agree with a fresh compile.
-    np.testing.assert_array_equal(recursive, estimator.compiled_predict(features))
+    """``predict`` and a fresh compile must both match the recursive walk bit for bit."""
+    recursive = recursive_predict(estimator, features)
+    np.testing.assert_array_equal(estimator.predict(features), recursive)
+    np.testing.assert_array_equal(CompiledPredictor(estimator).predict(features), recursive)
 
 
 @pytest.fixture(scope="module")
@@ -205,14 +207,15 @@ class TestSoALayout:
 
 
 class TestEstimatorIntegration:
-    def test_compile_caches_and_force_rebuilds(self, training_data):
+    def test_compile_caches_tables_on_the_estimator(self, training_data, query_batch):
         features, targets = training_data
         model = GradientBoostingRegressor(n_estimators=5, random_state=0).fit(features, targets)
         assert not model.is_compiled
         first = model.compile()
         assert model.is_compiled
         assert model.compile() is first
-        assert model.compile(force=True) is not first
+        model.predict(query_batch)
+        assert model.compile() is first  # predict reads the kept tables
 
     def test_refit_invalidates_cache(self, training_data, query_batch):
         features, targets = training_data
@@ -220,7 +223,7 @@ class TestEstimatorIntegration:
         stale = model.compile()
         model.fit(features, -targets)
         assert not model.is_compiled
-        np.testing.assert_array_equal(model.compiled_predict(query_batch), model.predict(query_batch))
+        assert_equal_predictions(model, query_batch)
         assert model.compile() is not stale
 
     def test_warm_start_continuation_recompiles(self, training_data, query_batch):
@@ -229,45 +232,42 @@ class TestEstimatorIntegration:
         before = model.compile()
         assert before.num_trees == 10
         model.set_params(warm_start=True, n_estimators=16).fit(features, targets)
-        # The continuation predicts through the model mid-fit; the cache must
-        # not survive with the 10-tree (or mid-fit) ensemble baked in.
+        # The continuation resumes from the 10-tree tables; they must not
+        # survive the fit with the old ensemble baked in.
         assert not model.is_compiled
         after = model.compile()
         assert after.num_trees == 16
         assert_equal_predictions(model, query_batch)
 
     def test_compiled_family_predicts_through_kernel(self, training_data, query_batch):
-        features, targets = training_data
-        compiled_model = CompiledGradientBoostingRegressor(
-            n_estimators=20, max_depth=4, random_state=0
-        ).fit(features, targets)
-        reference = GradientBoostingRegressor(n_estimators=20, max_depth=4, random_state=0).fit(
-            features, targets
-        )
-        np.testing.assert_array_equal(
-            compiled_model.predict(query_batch), reference.predict(query_batch)
-        )
-        assert compiled_model.is_compiled  # predict compiled on first use
+        # The "compiled-boosting" alias builds plain boosting, which compiles
+        # on its first predict when no trainer compiled it.
+        model = SURROGATES.create("compiled-boosting", n_estimators=20, max_depth=4, random_state=0)
+        model.fit(*training_data)
+        assert not model.is_compiled
+        assert_equal_predictions(model, query_batch)
+        assert model.is_compiled
 
-    def test_compiled_family_unfitted_predict_raises(self):
-        with pytest.raises(NotFittedError):
-            CompiledGradientBoostingRegressor().predict(np.ones((2, 2)))
-
-    def test_compiled_family_clone_is_unfitted(self, training_data):
-        features, targets = training_data
-        model = CompiledGradientBoostingRegressor(n_estimators=4, random_state=0).fit(
-            features, targets
-        )
-        copy = clone(model)
-        assert isinstance(copy, CompiledGradientBoostingRegressor)
-        assert copy.get_params()["n_estimators"] == 4
-        with pytest.raises(NotFittedError):
-            copy.predict(features)
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"early_stopping_rounds": 2}, {"subsample": 0.5}],
+        ids=["plain", "early-stopping", "subsample"],
+    )
+    def test_member_trees_hold_no_tables(self, training_data, query_batch, options):
+        # Boosting scores each new tree through the kernel without keeping the
+        # tree's tables: they would ride along in every pickled ensemble.
+        # The second fit is a warm-start continuation from the kept tables.
+        model = GradientBoostingRegressor(max_depth=3, warm_start=True, random_state=0, **options)
+        for rounds in (12, 18):
+            model.set_params(n_estimators=rounds).fit(*training_data)
+            assert not any(tree.is_compiled for tree in model._trees)
+            model.compile()
+        assert_equal_predictions(model, query_batch)
 
     def test_predictor_pickles_with_estimator(self, training_data, query_batch):
         features, targets = training_data
         model = GradientBoostingRegressor(n_estimators=6, random_state=0).fit(features, targets)
-        expected = model.compiled_predict(query_batch)
+        expected = model.predict(query_batch)
         restored = pickle.loads(pickle.dumps(model))
         assert restored.is_compiled  # tables travelled inside the pickle
         np.testing.assert_array_equal(restored._compiled.predict(query_batch), expected)
@@ -288,8 +288,8 @@ class TestRegistryAndTrainer:
     def test_registry_resolves_compiled_family(self):
         from repro.api.registries import resolve_surrogate
 
-        assert resolve_surrogate("compiled-boosting") is CompiledGradientBoostingRegressor
-        assert resolve_surrogate("compiled-gbrt") is CompiledGradientBoostingRegressor
+        assert resolve_surrogate("compiled-boosting") is GradientBoostingRegressor
+        assert resolve_surrogate("compiled-gbrt") is GradientBoostingRegressor
 
     def test_trainer_accepts_family_name(self, density_engine):
         trainer = SurrogateTrainer(
@@ -297,7 +297,7 @@ class TestRegistryAndTrainer:
             estimator_options={"n_estimators": 8, "max_depth": 3},
             random_state=0,
         )
-        assert isinstance(trainer.estimator, CompiledGradientBoostingRegressor)
+        assert type(trainer.estimator) is GradientBoostingRegressor
 
     def test_trainer_auto_compiles_after_train(self, density_engine):
         workload = generate_workload(density_engine, 120, random_state=0)
@@ -320,10 +320,23 @@ class TestRegistryAndTrainer:
         assert refreshed.estimator.compile().num_trees == surrogate.estimator.compile().num_trees + 4
         from repro.surrogate.features import augment_region_vectors
 
-        grid = augment_region_vectors(workload.features[:50])
-        np.testing.assert_array_equal(
-            refreshed.estimator.compiled_predict(grid), refreshed.estimator.predict(grid)
-        )
+        assert_equal_predictions(refreshed.estimator, augment_region_vectors(workload.features[:50]))
+
+    def test_compile_runs_once_per_train_and_never_in_find(
+        self, density_workload, density_query, fast_trainer, small_gso_parameters, monkeypatch
+    ):
+        compiled = []
+        original = BaseEstimator.compile
+        monkeypatch.setattr(BaseEstimator, "compile", lambda model: compiled.append(model) or original(model))
+        finder = SuRF(trainer=fast_trainer, gso_parameters=small_gso_parameters, random_state=0)
+        finder.fit(density_workload)
+        # The warm start resumes from the tables its pickled clone carries.
+        refreshed = fast_trainer.train_incremental(finder.surrogate_, density_workload, extra_rounds=3)
+        assert compiled == [finder.surrogate_.estimator, refreshed.estimator]
+        finder.find_regions(density_query)
+        finder.surrogate_ = refreshed
+        finder.find_regions(density_query)
+        assert len(compiled) == 2
 
     def test_trainer_skips_uncompilable_families(self, density_engine):
         workload = generate_workload(density_engine, 60, random_state=0)
@@ -334,10 +347,12 @@ class TestRegistryAndTrainer:
 
 class TestDeepTreeRecursionSafety:
     def test_predict_survives_chain_deeper_than_recursion_limit(self):
-        # Regression: _predict_into used one Python frame per split level, so
-        # a chain deeper than the interpreter limit blew the stack.  Build a
-        # synthetic left-spine two times deeper than the recursion limit and
-        # predict through it — the explicit-stack walk must route correctly.
+        # Regression: the tree walk once used one Python frame per split
+        # level, so a chain deeper than the interpreter limit blew the stack.
+        # Build a synthetic left-spine two times deeper than the recursion
+        # limit and predict through it — the hand-built tree compiles on its
+        # first predict, and both the kernel and the oracle walk must route
+        # correctly.
         depth = sys.getrecursionlimit() * 2
         leaf = _Node(value=123.0)
         root = leaf
@@ -353,12 +368,12 @@ class TestDeepTreeRecursionSafety:
         tree._root = root
         tree._num_features = 1
         # -1 sits below every threshold, so the row walks the full left spine.
-        out = tree.predict(np.array([[-1.0]]))
-        np.testing.assert_array_equal(out, [123.0])
         # A row that exits at the first split reads the shallow right leaf
         # (thresholds shrink towards the root, so 'depth' exceeds them all).
-        out = tree.predict(np.array([[float(depth)]]))
-        np.testing.assert_array_equal(out, [float(depth) - 1.0])
+        probe = np.array([[-1.0], [float(depth)]])
+        expected = [123.0, float(depth) - 1.0]
+        np.testing.assert_array_equal(tree.predict(probe), expected)
+        np.testing.assert_array_equal(recursive_predict(tree, probe), expected)
 
     def test_depth_and_leaf_count_survive_deep_chains(self):
         depth = sys.getrecursionlimit() * 2
@@ -382,5 +397,5 @@ class TestDeepTreeRecursionSafety:
         predictor = CompiledPredictor(tree)
         assert predictor.max_depth == depth
         np.testing.assert_array_equal(
-            predictor.predict(np.array([[-1.0]])), tree.predict(np.array([[-1.0]]))
+            predictor.predict(np.array([[-1.0]])), recursive_predict(tree, np.array([[-1.0]]))
         )

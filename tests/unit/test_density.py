@@ -1,10 +1,9 @@
-"""Unit tests for the density-estimation substrate (KDE, histogram, region mass)."""
+"""Unit tests for the density-estimation substrate (KDE and region mass)."""
 
 import numpy as np
 import pytest
 
 from repro.data.regions import Region
-from repro.density.histogram import HistogramDensityEstimator
 from repro.density.kde import GaussianKDE
 from repro.density.region_mass import RegionMassEstimator
 from repro.exceptions import NotFittedError, ValidationError
@@ -23,17 +22,6 @@ def uniform_cloud():
 
 
 class TestGaussianKDE:
-    def test_pdf_is_higher_at_the_mode(self, gaussian_cloud):
-        kde = GaussianKDE().fit(gaussian_cloud)
-        center = kde.pdf(np.array([[0.5, 0.5]]))[0]
-        tail = kde.pdf(np.array([[0.95, 0.95]]))[0]
-        assert center > 10 * tail
-
-    def test_pdf_nonnegative(self, uniform_cloud):
-        kde = GaussianKDE().fit(uniform_cloud)
-        values = kde.pdf(np.random.default_rng(0).uniform(size=(50, 2)))
-        assert np.all(values >= 0)
-
     def test_region_mass_of_whole_domain_close_to_one(self, uniform_cloud):
         kde = GaussianKDE().fit(uniform_cloud)
         big = Region.from_bounds([-2.0, -2.0], [3.0, 3.0])
@@ -83,74 +71,32 @@ class TestGaussianKDE:
         with pytest.raises(ValidationError):
             GaussianKDE(bandwidth=-0.5).fit(uniform_cloud)
 
-    def test_sampling_draws_near_training_data(self, gaussian_cloud):
-        kde = GaussianKDE().fit(gaussian_cloud)
-        samples = kde.sample(500, random_state=1)
-        assert samples.shape == (500, 2)
-        assert np.linalg.norm(samples.mean(axis=0) - [0.5, 0.5]) < 0.05
-
     def test_unfitted_usage_raises(self):
         with pytest.raises(NotFittedError):
-            GaussianKDE().pdf(np.ones((1, 2)))
+            GaussianKDE().region_mass(Region([0.5, 0.5], [0.1, 0.1]))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValidationError):
             GaussianKDE().fit(np.ones((1, 2)))
 
 
-class TestHistogramEstimator:
-    def test_region_mass_of_domain_is_one(self, uniform_cloud):
-        estimator = HistogramDensityEstimator(bins_per_dim=10).fit(uniform_cloud)
-        box = Region.from_bounds([0.0, 0.0], [1.0, 1.0])
-        assert estimator.region_mass(box) == pytest.approx(1.0, abs=1e-6)
-
-    def test_region_mass_fractional_bins(self, uniform_cloud):
-        estimator = HistogramDensityEstimator(bins_per_dim=10).fit(uniform_cloud)
-        half = Region.from_bounds([0.0, 0.0], [0.5, 1.0])
-        assert estimator.region_mass(half) == pytest.approx(0.5, abs=0.05)
-
-    def test_pdf_zero_outside_domain(self, uniform_cloud):
-        estimator = HistogramDensityEstimator(bins_per_dim=5).fit(uniform_cloud)
-        assert estimator.pdf(np.array([[5.0, 5.0]]))[0] == 0.0
-
-    def test_pdf_positive_inside_domain(self, uniform_cloud):
-        estimator = HistogramDensityEstimator(bins_per_dim=5).fit(uniform_cloud)
-        assert estimator.pdf(np.array([[0.5, 0.5]]))[0] > 0.0
-
-    def test_high_dimensional_data_rejected(self):
-        with pytest.raises(ValidationError):
-            HistogramDensityEstimator().fit(np.random.default_rng(0).uniform(size=(100, 7)))
-
-    def test_unfitted_usage_raises(self):
-        with pytest.raises(NotFittedError):
-            HistogramDensityEstimator().region_mass(Region([0.5], [0.1]))
-
-
 class TestRegionMassEstimator:
     def test_kde_method(self, gaussian_cloud):
-        estimator = RegionMassEstimator(method="kde").fit(gaussian_cloud)
+        estimator = RegionMassEstimator().fit(gaussian_cloud)
         assert estimator.region_mass(Region([0.5, 0.5], [0.2, 0.2])) > 0.5
 
-    def test_histogram_method(self, uniform_cloud):
-        estimator = RegionMassEstimator(method="histogram").fit(uniform_cloud)
-        assert estimator.region_mass(Region([0.5, 0.5], [0.25, 0.25])) == pytest.approx(0.25, abs=0.05)
-
     def test_floor_applied(self, gaussian_cloud):
-        estimator = RegionMassEstimator(method="kde", floor=1e-3).fit(gaussian_cloud)
+        estimator = RegionMassEstimator(floor=1e-3).fit(gaussian_cloud)
         far_away = Region([30.0, 30.0], [0.01, 0.01])
         assert estimator.region_mass(far_away) == pytest.approx(1e-3)
 
     def test_mass_of_vectors_matches_scalar(self, gaussian_cloud):
-        estimator = RegionMassEstimator(method="kde").fit(gaussian_cloud)
+        estimator = RegionMassEstimator().fit(gaussian_cloud)
         regions = [Region([0.5, 0.5], [0.1, 0.1]), Region([0.1, 0.9], [0.05, 0.05])]
         vectors = np.stack([region.to_vector() for region in regions])
         batch = estimator.mass_of_vectors(vectors)
-        singles = [estimator.mass_of_vector(vector) for vector in vectors]
+        singles = [estimator.region_mass(region) for region in regions]
         np.testing.assert_allclose(batch, singles, rtol=1e-10)
-
-    def test_invalid_method_rejected(self):
-        with pytest.raises(ValidationError):
-            RegionMassEstimator(method="parzen")
 
     def test_invalid_floor_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from recursive_predict import recursive_finder
 from repro.core.evaluation import average_iou, compliance_rate
 from repro.core.finder import SuRF
 from repro.core.query import RegionQuery
 from repro.exceptions import NotFittedError, ValidationError
 from repro.optim.gso import GSOParameters
 from repro.surrogate.training import SurrogateTrainer
-from repro.ml.boosting import GradientBoostingRegressor
 
 
 class TestFitting:
@@ -145,14 +145,16 @@ class TestWarmStartRng:
 
 
 class TestCompiledSurrogateEquivalence:
-    """The compiled surrogate family must not change *what* SuRF finds — only
-    how fast.  Same seed, same workload: bit-identical proposals."""
+    """The compiled tables must not change *what* SuRF finds — only how fast.
+    Same finder, same seed, surrogate predicting through the recursive walk
+    (``tests/helpers/recursive_predict.py``): bit-identical positions and
+    proposals."""
 
     @staticmethod
-    def _fitted(density_workload, family):
+    def _fitted(density_workload):
         finder = SuRF(
             trainer=SurrogateTrainer(
-                estimator=family,
+                estimator="boosting",
                 estimator_options={"n_estimators": 25, "max_depth": 3},
                 random_state=0,
             ),
@@ -163,33 +165,31 @@ class TestCompiledSurrogateEquivalence:
         finder.fit(density_workload)
         return finder
 
-    def test_find_proposals_bit_identical_to_recursive_family(self, density_workload, density_query):
-        recursive = self._fitted(density_workload, "boosting")
-        compiled = self._fitted(density_workload, "compiled-boosting")
-        result_recursive = recursive.find_regions(density_query)
-        result_compiled = compiled.find_regions(density_query)
-
-        assert result_compiled.num_regions == result_recursive.num_regions
+    @staticmethod
+    def _assert_identical(result, expected):
+        assert result.num_regions == expected.num_regions
         np.testing.assert_array_equal(
-            result_compiled.optimization.positions, result_recursive.optimization.positions
+            result.optimization.positions, expected.optimization.positions
         )
-        for ours, theirs in zip(result_compiled.proposals, result_recursive.proposals):
+        for ours, theirs in zip(result.proposals, expected.proposals):
             np.testing.assert_array_equal(ours.vector, theirs.vector)
             assert ours.predicted_value == theirs.predicted_value
+
+    def test_find_proposals_bit_identical_to_recursive_family(self, density_workload, density_query):
+        finder = self._fitted(density_workload)
+        expected = recursive_finder(finder).find_regions(density_query)
+        self._assert_identical(finder.find_regions(density_query), expected)
 
     def test_reloaded_bundle_reproduces_compiled_proposals(
         self, density_workload, density_query, tmp_path
     ):
-        finder = self._fitted(density_workload, "compiled-boosting")
-        expected = finder.find_regions(density_query)
-        path = finder.save(tmp_path / "compiled.surf")
-        reloaded = SuRF.load(path)
+        finder = self._fitted(density_workload)
+        expected = recursive_finder(finder).find_regions(density_query)
+        reloaded = SuRF.load(finder.save(tmp_path / "compiled.surf"))
         # The bundle ships the compiled SoA tables: no lazy recompile on load.
         assert reloaded.surrogate_.estimator.is_compiled
-        result = reloaded.find_regions(density_query)
-        assert result.num_regions == expected.num_regions
-        for ours, theirs in zip(result.proposals, expected.proposals):
-            np.testing.assert_array_equal(ours.vector, theirs.vector)
+        self._assert_identical(reloaded.find_regions(density_query), expected)
+        self._assert_identical(recursive_finder(reloaded).find_regions(density_query), expected)
 
 
 class TestConfigurationVariants:
@@ -202,24 +202,6 @@ class TestConfigurationVariants:
             random_state=0,
         )
         finder.fit(density_workload)
-        result = finder.find_regions(density_query)
-        assert result.optimization.num_iterations > 0
-
-    def test_histogram_density_guidance(self, density_workload, density_engine, density_query):
-        sample = (
-            density_engine.dataset.sample(400, random_state=0)
-            .select_columns(density_engine.region_columns)
-            .values
-        )
-        finder = SuRF(
-            trainer=SurrogateTrainer(
-                estimator=GradientBoostingRegressor(n_estimators=30, random_state=0), random_state=0
-            ),
-            density_method="histogram",
-            gso_parameters=GSOParameters(num_particles=30, num_iterations=15, random_state=0),
-            random_state=0,
-        )
-        finder.fit(density_workload, data_sample=sample)
         result = finder.find_regions(density_query)
         assert result.optimization.num_iterations > 0
 

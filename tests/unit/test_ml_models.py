@@ -139,12 +139,6 @@ class TestGradientBoosting:
         ).fit(features, targets)
         assert model.num_trees_ < 300
 
-    def test_staged_predict_final_matches_predict(self, regression_problem):
-        features, targets, test_features, _ = regression_problem
-        model = GradientBoostingRegressor(n_estimators=20, max_depth=3, random_state=0).fit(features, targets)
-        staged = list(model.staged_predict(test_features))
-        np.testing.assert_allclose(staged[-1], model.predict(test_features), rtol=1e-10)
-
     def test_subsample_produces_valid_model(self, regression_problem):
         features, targets, test_features, test_targets = regression_problem
         model = GradientBoostingRegressor(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from recursive_predict import recursive_predict
 from repro.exceptions import ValidationError
 from repro.experiments.runner import build_parser, main, run_experiments
 from repro.surrogate.persistence import load_surrogate, load_workload, save_surrogate, save_workload
@@ -88,20 +89,21 @@ class TestBundleCompiledTables:
         assert restored.is_compiled  # tables travelled inside the bundle
         probe = np.random.default_rng(0).uniform(0.1, 0.9, size=(25, restored._compiled.num_features))
         np.testing.assert_array_equal(
-            restored._compiled.predict(probe), estimator.compiled_predict(probe)
+            restored._compiled.predict(probe), recursive_predict(estimator, probe)
         )
         np.testing.assert_array_equal(restored._compiled.predict(probe), restored.predict(probe))
 
-    def test_bundle_version_is_3(self, fitted_surf, tmp_path):
+    def test_bundle_version_is_4(self, fitted_surf, tmp_path):
         import pickle
 
         from repro.surrogate.persistence import BUNDLE_VERSION
 
-        assert BUNDLE_VERSION == 3
+        assert BUNDLE_VERSION == 4
         path = fitted_surf.save(tmp_path / "finder.bundle")
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        assert payload["version"] == 3
+        assert payload["version"] == 4
+        assert "density_method" not in payload["config"]
 
 
 class TestRunnerCli:

@@ -89,6 +89,19 @@ class TestArtifactBundles:
         with pytest.raises(ValidationError):
             load_bundle(path)
 
+    def test_version_3_bundle_with_density_method_still_loads(self, fitted_surf, density_query, tmp_path):
+        path = fitted_surf.save(tmp_path / "finder.surf")
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        payload["version"] = 3
+        payload["config"]["density_method"] = "kde"
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        before = fitted_surf.find_regions(density_query)
+        after = load_bundle(path).find_regions(density_query)
+        np.testing.assert_array_equal(before.optimization.positions, after.optimization.positions)
+        assert proposals_identical(before.proposals, after.proposals)
+
 
 class TestServiceBasics:
     def test_service_requires_fitted_finder(self):
