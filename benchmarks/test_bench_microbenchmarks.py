@@ -72,6 +72,29 @@ def test_bench_kde_region_mass_batch(benchmark, prepared):
     assert result.shape == (100,)
 
 
+def test_kde_tabulated_mass_speedup(prepared):
+    """Eq. 8 box masses read from the fit-time CDF table against the exact
+    per-sample ndtr sum, per 60-box batch (the swarm size of a default find):
+    agreement within 2e-4 first, then the speed-up floor."""
+    kde = prepared[2]._estimator
+    assert kde._table is not None
+    rng = np.random.default_rng(0)
+    low, high = kde._samples.min(axis=0), kde._samples.max(axis=0)
+    centres = rng.uniform(low, high, size=(60, kde.dim))
+    halves = rng.uniform(0.01, 0.25, size=centres.shape) * (high - low)
+    lowers, uppers = centres - halves, centres + halves
+    np.testing.assert_allclose(
+        kde.region_mass_batch(lowers, uppers), kde._exact_mass_batch(lowers, uppers),
+        rtol=0.0, atol=2e-4,
+    )
+    exact, table = _best_of(
+        lambda: kde._exact_mass_batch(lowers, uppers), lambda: kde.region_mass_batch(lowers, uppers)
+    )
+    speedup = exact / table
+    print(f"\nKDE mass, 60 boxes: exact {exact * 1e3:.2f} ms, table {table * 1e6:.0f} us -> {speedup:.0f}x")
+    assert speedup >= _speedup_floor()
+
+
 # --------------------------------------------------------------------------- vectorization
 # Before/after benchmarks for the vectorised hot paths: the whole-swarm GSO
 # movement kernel vs. the per-particle reference loop (the test-side oracle in

@@ -2,9 +2,9 @@
 
 The GSO optimiser only needs one operation from a density model: "how much
 data mass does this candidate region cover?".  :class:`RegionMassEstimator`
-answers it with the Gaussian KDE of :mod:`repro.density.kde` and adds the
-small-floor behaviour used when re-weighting neighbour-selection
-probabilities.
+answers it with the Gaussian KDE of :mod:`repro.density.kde` (read from its
+tabulated CDF when the fit built one) and adds the small-floor behaviour used
+when re-weighting neighbour-selection probabilities.
 """
 
 from __future__ import annotations

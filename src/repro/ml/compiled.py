@@ -30,8 +30,10 @@ estimator, so they pickle with it); an estimator without tables compiles on
 its first predict.  Predictions are **bit-identical** to the recursive walk,
 not merely close: leaf routing uses the same ``x <= threshold`` comparison on
 the same float64 values, and per-row aggregation replays the walk's exact
-operation order (sequential ``out += learning_rate * tree_prediction`` for
-boosting, ``stacked.mean(axis=0)`` for forests).  The walk itself survives
+operation order (for boosting, one reduce down the stacked
+``[base; learning_rate * leaves]`` rows, which adds them in tree order like the
+walk's sequential ``out += learning_rate * tree_prediction``;
+``stacked.mean(axis=0)`` for forests).  The walk itself survives
 only as the test oracle ``tests/helpers/recursive_predict.py``, against which
 ``tests/unit/test_compiled.py`` and ``tests/property/test_property_compiled.py``
 hold ``np.array_equal`` across families, hyper-parameters and warm-start
@@ -266,9 +268,16 @@ class CompiledPredictor:
         """Combine the (num_trees, n) leaf matrix into ``out`` replaying the
         recursive walk's exact float operation order (see module docstring)."""
         if self._aggregation == "sum":
-            out[:] = self._base
-            for row in leaves:
-                out += self._weight * row
+            # One reduce down the stacked [base; w * leaves] columns adds the
+            # rows in order, as the walk does.  A single column would be
+            # reduced pairwise instead, so it is padded to two.
+            num_rows = leaves.shape[1]
+            stacked = np.empty((leaves.shape[0] + 1, max(num_rows, 2)))
+            stacked[0] = self._base
+            np.multiply(leaves, self._weight, out=stacked[1:, :num_rows])
+            if num_rows == 1:
+                stacked[1:, 1] = stacked[1:, 0]
+            out[:] = np.add.reduce(stacked, axis=0)[:num_rows]
         elif self._aggregation == "mean":
             out[:] = leaves.mean(axis=0)
         else:

@@ -228,7 +228,11 @@ class DecisionTreeRegressor(BaseEstimator):
             gain = float(score[best_bin]) - parent_score
             if gain > best_gain:
                 best_gain = gain
-                best = (int(feature), best_bin, float(edges[best_bin]))
+                # Training sends x to the left bins iff x < edge (the codes come
+                # from searchsorted side="right"), while prediction tests
+                # x <= threshold; the largest float below the edge makes both
+                # route a value equal to the edge to the right.
+                best = (int(feature), best_bin, float(np.nextafter(edges[best_bin], -np.inf)))
         return best
 
     # ------------------------------------------------------------------ prediction

@@ -13,7 +13,7 @@ This implementation adds the paper's two extensions:
   particles never attract neighbours but can still be pulled towards feasible
   ones;
 * neighbour-selection probabilities can be re-weighted by the data mass of
-  the neighbour's region (Eq. 8) via the ``selection_weight`` callback.
+  the neighbour's region (Eq. 8) via the ``batch_selection_weight`` callback.
 
 The movement phase is a whole-swarm vectorised kernel.  It consumes the
 seeded RNG stream in exactly the order the original per-particle loop did —
@@ -144,13 +144,11 @@ class GlowwormSwarmOptimizer:
         Optional vectorised fitness over a ``(L, D)`` matrix returning ``(L,)``
         values.  Used in preference to ``objective`` for the per-iteration
         swarm evaluation (a large speed-up for surrogate models).
-    selection_weight:
-        Optional callable giving a positive weight for a candidate neighbour's
-        position; selection probabilities are multiplied by it (Eq. 8 uses the
-        KDE region mass here).
     batch_selection_weight:
-        Optional vectorised version of ``selection_weight`` over a ``(L, D)``
-        matrix; evaluated once per iteration for the whole swarm.
+        Optional callable mapping the swarm's ``(L, D)`` positions to ``(L,)``
+        non-negative weights, evaluated once per iteration; a candidate
+        neighbour's selection probability is multiplied by its weight (Eq. 8
+        uses the KDE region mass here).
     initial_positions:
         Optional explicit start positions of shape ``(L, D)``.
     profile_hook:
@@ -170,7 +168,6 @@ class GlowwormSwarmOptimizer:
         upper_bounds: Sequence[float],
         parameters: Optional[GSOParameters] = None,
         batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        selection_weight: Optional[Callable[[np.ndarray], float]] = None,
         batch_selection_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         initial_positions: Optional[np.ndarray] = None,
         profile_hook=None,
@@ -185,7 +182,6 @@ class GlowwormSwarmOptimizer:
             raise ValidationError("upper_bounds must exceed lower_bounds in every dimension")
         self.dim = self.lower_bounds.shape[0]
         self.parameters = parameters or GSOParameters()
-        self.selection_weight = selection_weight
         self.batch_selection_weight = batch_selection_weight
         self._initial_positions = initial_positions
         self.profile_hook = profile_hook
@@ -208,15 +204,10 @@ class GlowwormSwarmOptimizer:
 
     def _selection_weights(self, positions: np.ndarray) -> Optional[np.ndarray]:
         """Per-particle selection weights (Eq. 8), or ``None`` when not configured."""
-        if self.batch_selection_weight is not None:
-            weights = np.asarray(self.batch_selection_weight(positions), dtype=np.float64)
-            return np.clip(np.nan_to_num(weights, nan=0.0), 0.0, None)
-        if self.selection_weight is not None:
-            weights = np.asarray(
-                [max(0.0, float(self.selection_weight(position))) for position in positions]
-            )
-            return weights
-        return None
+        if self.batch_selection_weight is None:
+            return None
+        weights = np.asarray(self.batch_selection_weight(positions), dtype=np.float64)
+        return np.clip(np.nan_to_num(weights, nan=0.0), 0.0, None)
 
     def _initial_swarm(self, rng: np.random.Generator) -> np.ndarray:
         params = self.parameters

@@ -68,6 +68,14 @@ class TestDecisionTree:
             targets, shallow.predict(features)
         )
 
+    def test_values_on_a_bin_edge_predict_the_leaf_they_trained(self):
+        # With 65 rows every quantile position is a whole index, so each bin
+        # edge is a data value and the chosen split threshold is a training row.
+        features = np.arange(65, dtype=float).reshape(-1, 1)
+        targets = (features[:, 0] >= 32).astype(float) * 10.0
+        tree = DecisionTreeRegressor(max_depth=1).fit(features, targets)
+        np.testing.assert_array_equal(tree.predict(features), targets)
+
     def test_min_samples_leaf_respected(self):
         features = np.linspace(0, 1, 40).reshape(-1, 1)
         targets = np.sin(6 * features[:, 0])

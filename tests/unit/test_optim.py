@@ -128,12 +128,12 @@ class TestGSO:
 
     def test_selection_weight_biases_towards_weighted_mode(self):
         # Weight the neighbourhood around x=0.75 much higher than x=0.25.
-        def weight(vector):
-            return 100.0 if vector[0] > 0.5 else 0.01
+        def weight(positions):
+            return np.where(positions[:, 0] > 0.5, 100.0, 0.01)
 
         params = GSOParameters(num_particles=60, num_iterations=80, step_size=0.02, random_state=5)
         result = GlowwormSwarmOptimizer(
-            two_peaks, [0.0], [1.0], params, selection_weight=weight
+            two_peaks, [0.0], [1.0], params, batch_selection_weight=weight
         ).run()
         positions = result.feasible_positions[:, 0]
         assert (np.abs(positions - 0.75) < 0.1).sum() >= (np.abs(positions - 0.25) < 0.1).sum()

@@ -111,18 +111,21 @@ class TestGSOMovementEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_selection_weights(self, seed):
-        def weight(vector):
-            return 100.0 if vector[0] > 0.5 else 0.01
+        def weight(positions):
+            return np.where(positions[:, 0] > 0.5, 100.0, 0.01)
 
-        reference = run_gso("reference", sphere, 3, seed, selection_weight=weight)
-        vectorized = run_gso("vectorized", sphere, 3, seed, selection_weight=weight)
+        reference = run_gso("reference", sphere, 3, seed, batch_selection_weight=weight)
+        vectorized = run_gso("vectorized", sphere, 3, seed, batch_selection_weight=weight)
         assert_identical_runs(reference, vectorized)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_zero_selection_weights_fall_back_to_uniform(self, seed):
         """All-zero weights hit the degenerate uniform-probability branch."""
-        reference = run_gso("reference", sphere, 2, seed, selection_weight=lambda v: 0.0)
-        vectorized = run_gso("vectorized", sphere, 2, seed, selection_weight=lambda v: 0.0)
+        def zero(positions):
+            return np.zeros(positions.shape[0])
+
+        reference = run_gso("reference", sphere, 2, seed, batch_selection_weight=zero)
+        vectorized = run_gso("vectorized", sphere, 2, seed, batch_selection_weight=zero)
         assert_identical_runs(reference, vectorized)
 
     @pytest.mark.parametrize("seed", [0, 1])
