@@ -12,7 +12,7 @@ The public API re-exports the pieces most users need:
 * the online learning loop (:mod:`repro.online`) — :class:`repro.QueryLog`
   harvesting, :class:`repro.IncrementalTrainer` warm-start refreshes with a
   :class:`repro.DriftMonitor`-guarded full-refit fallback, and hot-swap
-  serving via ``ServiceKernel.refresh`` / :class:`repro.RefreshPolicy`,
+  serving via ``ServiceKernel.refresh``,
 * the data substrate (:mod:`repro.data`) with pluggable scan backends
   (:mod:`repro.backends` — in-memory NumPy, out-of-core memory-mapped chunks,
   SQLite, sharded parallel evaluation), the surrogate layer
@@ -57,7 +57,7 @@ from repro.core.satisfiability import SatisfiabilityModel
 from repro.data.dataset import Dataset
 from repro.data.engine import DataEngine
 from repro.data.regions import Region
-from repro.online import DriftMonitor, IncrementalTrainer, QueryLog, RefreshOutcome, RefreshPolicy
+from repro.online import DriftMonitor, IncrementalTrainer, QueryLog, RefreshOutcome
 from repro.surrogate.training import SurrogateTrainer
 from repro.surrogate.workload import RegionWorkload, generate_workload
 
@@ -92,7 +92,6 @@ __all__ = [
     "DriftMonitor",
     "IncrementalTrainer",
     "RefreshOutcome",
-    "RefreshPolicy",
     "LogObjective",
     "RatioObjective",
     "average_iou",

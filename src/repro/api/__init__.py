@@ -23,11 +23,11 @@ composable layers:
 
 On top of those sit the **load-control stages** (:mod:`repro.api.admission`:
 per-request deadlines, per-tenant token-bucket rate limiting,
-satisfiability-ranked admission control), a **process-pool execute stage**
-(:mod:`repro.api.execution`) that runs GSO outside the GIL with bit-identical
-results, and the **async front door** (:mod:`repro.api.asgi`): a
-dependency-free ASGI app serving the envelopes over HTTP/JSON, with an
-in-process test client and a stdlib dev server.
+satisfiability-ranked admission control) and the **async front door**
+(:mod:`repro.api.asgi`): a dependency-free ASGI app serving the envelopes
+over HTTP/JSON, with an in-process test client and a stdlib dev server.
+Every GSO run a kernel executes goes through that kernel's one persistent
+thread pool, whichever chain it serves.
 
 Plus the **declarative registries** (:mod:`repro.api.registries`): statistics,
 backends, surrogate families and optimisers are all string-keyed plugin
@@ -60,7 +60,6 @@ from repro.api.envelopes import (
     FindResponse,
     ProposalPayload,
 )
-from repro.api.execution import ProcessExecute
 from repro.api.kernel import ServiceKernel, ServiceStats
 from repro.api.middleware import (
     PRE_GATE_STATUSES,
@@ -120,7 +119,6 @@ __all__ = [
     "RateLimit",
     "AdmissionControl",
     "production_chain",
-    "ProcessExecute",
     "AsgiApp",
     "HttpFrontDoor",
     "asgi_request",

@@ -316,17 +316,16 @@ def production_chain(
     rate_limit: Optional[RateLimit] = None,
     deadline: Optional[Deadline] = None,
     admission: Optional[AdmissionControl] = None,
-    execute: Optional[Execute] = None,
     observability=None,
 ) -> List[Middleware]:
     """The serving chain with the load-control stages in canonical positions.
 
-    Any stage left ``None`` is simply omitted (with all three ``None`` and no
-    custom executor this degenerates to :func:`~repro.api.middleware.default_chain`).
-    Pass ``execute=ProcessExecute(...)`` to run GSO on the process pool, and
+    Any stage left ``None`` is simply omitted (with all three ``None`` this
+    degenerates to :func:`~repro.api.middleware.default_chain`).  Pass
     ``observability=True`` (or a configured :class:`repro.obs.Observability`)
     to prepend the tracing stage — the outermost position, so every other
-    stage's latency lands in its span tree.
+    stage's latency lands in its span tree.  GSO runs execute on the
+    kernel's run pool, whichever chain is installed.
     """
     chain: List[Middleware] = []
     if observability is not None and observability is not False:
@@ -343,7 +342,7 @@ def production_chain(
     chain.append(Coalesce())
     if admission is not None:
         chain.append(admission)
-    chain.append(execute if execute is not None else Execute())
+    chain.append(Execute())
     chain.append(Harvest())
     return chain
 

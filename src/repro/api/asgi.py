@@ -38,8 +38,8 @@ envelopes.  Malformed payloads are ``400`` with the
 oversized bodies ``413``.
 
 The event loop is never blocked: kernel calls (which may run GSO for
-seconds) are dispatched to a thread (``asyncio.to_thread``), where the
-middleware chain's own thread/process pools take over.  Thousands of
+seconds) are dispatched to a thread (``asyncio.to_thread``), and each
+kernel's misses run on that kernel's own run pool.  Thousands of
 concurrent requests therefore queue in the loop cheaply while the kernel's
 admission-control middleware decides what actually runs —
 ``benchmarks/test_bench_load.py`` drives exactly that shape.

@@ -241,7 +241,7 @@ class ProposalPayload:
 
 #: Every serving verdict a response may carry.  The first three are the
 #: historical happy-path statuses; the rest are produced by the load-control
-#: stages of :mod:`repro.api.admission` and the fault-tolerant executor:
+#: stages of :mod:`repro.api.admission` and the fault-tolerant execute stage:
 #: ``"throttled"`` (per-tenant token bucket exhausted), ``"shed"`` (admission
 #: control dropped the run under pressure), ``"timeout"`` (per-request
 #: deadline expired) and ``"error"`` (the optimiser run raised; the message is

@@ -5,10 +5,11 @@ A :class:`ServiceKernel` hosts **one** fitted
 :mod:`repro.api.middleware` and answers typed
 :class:`~repro.api.envelopes.FindRequest` envelopes.  It owns the LRU result
 cache, the Eq. 5 gate threshold, the serving counters, the query log, and the
-online-learning refresh/hot-swap machinery, while the per-request pipeline
-itself is pluggable: pass ``middleware=[...]`` to insert rate limiting,
-metrics or tracing without touching this file.  Multi-tenant deployments host
-many kernels behind a :class:`~repro.api.tenancy.ModelRegistry`.
+online-learning refresh/hot-swap machinery and the one thread pool every
+GSO run executes on, while the per-request pipeline itself is pluggable: pass
+``middleware=[...]`` to insert rate limiting, metrics or tracing without
+touching this file.  Multi-tenant deployments host many kernels behind a
+:class:`~repro.api.tenancy.ModelRegistry`.
 
 Its serving semantics (batch coalescing, generation-tagged caching,
 shared-generator fallback, harvest counters) are bit-identical to the
@@ -19,7 +20,9 @@ original serving monolith, asserted against a frozen copy of it by
 from __future__ import annotations
 
 import copy
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -166,7 +169,6 @@ KERNEL_OPTIONS = (
     "exact_engine",
     "middleware",
     "name",
-    "executor",
     "observability",
 )
 
@@ -206,8 +208,9 @@ class ServiceKernel:
         Default proposal cap forwarded to every GSO run (a request's own
         ``max_proposals`` overrides it per query).
     max_workers:
-        Default thread-pool width for batch execution (``None`` picks
-        ``min(num distinct queries, cpu count)`` per batch).
+        Width of the kernel's run pool, the one persistent thread pool every
+        GSO run of this kernel executes on (``None`` = ``os.cpu_count()``).
+        The pool is built on the first miss; :meth:`close` releases it.
     query_log / incremental_trainer / exact_engine:
         The online-learning loop wiring: a :class:`~repro.online.QueryLog`
         the kernel harvests into and refreshes from, an optional pre-built
@@ -219,14 +222,6 @@ class ServiceKernel:
         The middleware chain to run every batch through; defaults to
         :func:`repro.api.middleware.default_chain`.  Order matters: the first
         element is outermost.
-    executor:
-        Which execution stage the *default* chain uses: ``"thread"`` (the
-        historical in-process thread pool) or ``"process"`` (a persistent
-        :class:`~repro.api.execution.ProcessExecute` pool that pickles the
-        finder — compiled SoA tables included — once per worker per model
-        generation, escaping the GIL for CPU-bound GSO runs).  Only valid
-        when ``middleware`` is not given; a custom chain chooses its own
-        execute stage explicitly.
     observability:
         ``True`` or a :class:`repro.obs.Observability` bundle enables the
         metrics/tracing layer: a ``Trace`` stage is prepended (unless the
@@ -249,7 +244,6 @@ class ServiceKernel:
         incremental_trainer=None,
         exact_engine=None,
         middleware: Optional[Sequence[Middleware]] = None,
-        executor: str = "thread",
         observability=None,
     ):
         if not isinstance(finder, SuRF):
@@ -279,25 +273,9 @@ class ServiceKernel:
         self._query_log = query_log
         self._incremental_trainer = incremental_trainer
         self._exact_engine = exact_engine
-        if executor not in ("thread", "process"):
-            raise ValidationError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
-        if middleware is not None and executor != "thread":
-            raise ValidationError(
-                "executor only configures the default chain; a custom middleware "
-                "list must include its own execute stage (e.g. ProcessExecute)"
-            )
-        if executor == "process":
-            from repro.api.execution import ProcessExecute
-
-            chain = default_chain()
-            chain[-2] = ProcessExecute(max_workers=max_workers)
-            self._middleware: List[Middleware] = chain
-        else:
-            self._middleware = (
-                list(middleware) if middleware is not None else default_chain()
-            )
+        self._middleware: List[Middleware] = (
+            list(middleware) if middleware is not None else default_chain()
+        )
         self._obs = self._wire_observability(observability)
         if self._obs is not None:
             from repro.obs.runtime import instrument_chain, register_kernel
@@ -317,6 +295,8 @@ class ServiceKernel:
         self._stats = ServiceStats()
         self._generation = 0
         self._log_cursor = 0
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
 
     def _wire_observability(self, observability):
         """Resolve the ``observability`` option against the middleware chain.
@@ -394,8 +374,8 @@ class ServiceKernel:
     def _uses_shared_generator(self, finder: Optional[SuRF] = None) -> bool:
         """Whether the finder draws from a caller-owned live ``Generator``.
 
-        Such a stream is shared, mutable and not thread-safe, so batch
-        execution must fall back to one worker.
+        Such a stream is shared, mutable and not thread-safe, so the execute
+        stage submits such a finder's runs one at a time.
         """
         if finder is None:
             finder = self._finder
@@ -403,6 +383,20 @@ class ServiceKernel:
         return isinstance(finder.random_state, np.random.Generator) or (
             parameters is not None and isinstance(parameters.random_state, np.random.Generator)
         )
+
+    def _submit(self, fn, *args) -> Future:
+        """Submit one run to the kernel's pool, building the pool on first use.
+
+        Submission holds the pool lock, so a concurrent :meth:`close` never
+        retires the pool between this call finding it and queueing the run.
+        """
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers or os.cpu_count() or 1,
+                    thread_name_prefix="repro-run",
+                )
+            return self._pool.submit(fn, *args)
 
     # ------------------------------------------------------------------ cache internals
     def _cache_get(self, key) -> Optional[RegionSearchResult]:
@@ -482,21 +476,20 @@ class ServiceKernel:
         return self._response(state, ctx)
 
     def handle_batch(
-        self,
-        requests: Sequence[Union[FindRequest, RegionQuery]],
-        max_workers: Optional[int] = None,
+        self, requests: Sequence[Union[FindRequest, RegionQuery]]
     ) -> List[FindResponse]:
         """Serve many requests at once, sharing work across them.
 
         Identical misses are coalesced — each distinct query runs GSO exactly
         once and every duplicate shares the result — and the distinct runs
-        execute on a thread pool.  Responses come back in input order and are
-        bit-identical to sequential :meth:`handle` calls under a fixed seed.
+        overlap on the kernel's run pool.  Responses come back in input order
+        and are bit-identical to sequential :meth:`handle` calls under a fixed
+        seed.
         The whole batch runs against the one finder generation captured at
         entry, even if a refresh lands mid-batch.
         """
         coerced = [self._coerce_request(request) for request in requests]
-        ctx = BatchContext(self, coerced, max_workers=max_workers)
+        ctx = BatchContext(self, coerced)
         self._handler(ctx)
         return [self._response(state, ctx) for state in ctx.states]
 
@@ -622,12 +615,18 @@ class ServiceKernel:
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Release middleware-held resources (idempotent).
+        """Shut the run pool down without waiting for it (idempotent).
 
-        Today this shuts down the persistent worker pool of a
-        :class:`~repro.api.execution.ProcessExecute` stage; any middleware
-        exposing a ``close()`` method is invited to clean up.
+        Queued runs are cancelled (their requesters read ``"error"``); runs
+        already executing finish on their threads.  Any middleware exposing
+        a ``close()`` method is closed too (the ``Trace`` stage flushes its
+        JSONL sink).  The kernel stays usable: the next miss builds a fresh
+        pool.
         """
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         for middleware in self._middleware:
             closer = getattr(middleware, "close", None)
             if callable(closer):

@@ -28,18 +28,17 @@ preserve the monolith's semantics bit for bit:
   re-inserts fresh results *generation-tagged* on the way out (a result
   computed against a superseded finder is dropped, never cached);
 * **coalesce** groups identical misses so each distinct query runs GSO once;
-* **execute** runs the distinct queries on a thread pool (one worker when the
-  finder draws from a caller-owned live ``numpy`` ``Generator``, which is not
-  thread-safe), with every run against the snapshot finder;
+* **execute** runs the distinct queries on the kernel's persistent thread
+  pool (one at a time when the finder draws from a caller-owned live
+  ``numpy`` ``Generator``, which is not thread-safe), with every run against
+  the snapshot finder;
 * **harvest** ground-truths served proposals into the query log when the
   kernel has an exact engine wired (the PR 3 online loop's input).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
@@ -80,7 +79,7 @@ _NAN = float("nan")
 #: Statuses decided *before* the satisfiability gate snapshots a model
 #: generation (today: rate limiting).  They survive a :class:`StaleGeneration`
 #: retry — the verdict did not depend on the superseded model — and the gate,
-#: cache and executor all skip states carrying one.
+#: cache and execute stage all skip states carrying one.
 PRE_GATE_STATUSES = frozenset({"throttled"})
 
 
@@ -146,7 +145,6 @@ class BatchContext:
     __slots__ = (
         "kernel",
         "states",
-        "max_workers",
         "finder",
         "generation",
         "pending",
@@ -155,10 +153,9 @@ class BatchContext:
         "_extras",
     )
 
-    def __init__(self, kernel, requests: Sequence[FindRequest], max_workers: Optional[int] = None):
+    def __init__(self, kernel, requests: Sequence[FindRequest]):
         self.kernel = kernel
         self.states: List[RequestState] = [RequestState(request) for request in requests]
-        self.max_workers = max_workers
         self.finder: Optional[SuRF] = None
         self.generation: int = -1
         self.pending: Dict[tuple, List[int]] = {}
@@ -241,7 +238,7 @@ def _obs_of(ctx: BatchContext):
 
 
 def run_query(finder: SuRF, query: RegionQuery, max_proposals: Optional[int], hook):
-    """Execute one optimiser run; every executor (inline, thread, process) calls this.
+    """Execute one optimiser run; :class:`Execute` submits this to the kernel's pool.
 
     ``hook`` is a per-run profile (:class:`repro.obs.GSORunProfile`) or
     ``None``.  Returns ``(result, seconds, profile)`` where ``profile`` is the
@@ -395,12 +392,15 @@ class Coalesce:
 class Execute:
     """Run every distinct pending query against the snapshot finder.
 
-    Distinct queries execute on a thread pool (the swarm kernels are
-    NumPy-bound and release the GIL in their hot loops); seeded runs stay
-    bit-identical to sequential execution because each run derives its RNG
-    stream from the finder's configured seed.  A finder seeded with a live
-    ``numpy`` ``Generator`` — shared, mutable, not thread-safe — is detected
-    and executed on a single worker.
+    Every run goes through the kernel's one persistent thread pool
+    (:meth:`~repro.api.kernel.ServiceKernel._submit`).  The distinct queries
+    are submitted together, so they overlap as far as NumPy releases the
+    GIL, and are collected in batch order; seeded runs stay bit-identical to
+    sequential execution because each run derives its RNG stream from the
+    finder's configured seed.  A finder seeded with a live ``numpy``
+    ``Generator`` — shared, mutable, not thread-safe — has its runs submitted
+    one at a time instead, each once the previous one has returned or been
+    abandoned.
 
     The stage is **fault-isolating and deadline-aware**:
 
@@ -410,26 +410,21 @@ class Execute:
       every other request in the batch untouched;
     * requests whose :class:`~repro.api.admission.Deadline` budget expired
       before their run started are marked ``"timeout"`` without running at
-      all; a run that stalls past the *latest* deadline among its coalesced
-      requesters is abandoned (the worker thread keeps running but the batch
-      stops waiting) and its requesters marked ``"timeout"`` — again with no
-      cache write.  Without a deadline stage in the chain nothing changes.
+      all; a run that has not returned by the *latest* deadline among its
+      coalesced requesters is abandoned and its requesters marked
+      ``"timeout"`` — again with no cache write.  An abandoned run that is
+      still queued is cancelled; a running one keeps its pool worker until
+      it returns, so stalls hold at most the pool's width of threads.
+      Without a deadline stage in the chain nothing changes.
 
     ``gso_runs`` / ``timeouts`` / ``errors`` counters are accumulated locally
     per batch and folded into :class:`~repro.api.kernel.ServiceStats` under
     one lock acquisition at the end — worker threads never touch the shared
     counters (see the concurrent-increment regression test in
     ``tests/unit/test_api.py``).
-
-    :class:`~repro.api.execution.ProcessExecute` subclasses this stage to run
-    the swarm on a :class:`~concurrent.futures.ProcessPoolExecutor` instead.
     """
 
     name = "execute"
-
-    #: Subclasses that must always go through a pool (e.g. the process
-    #: executor) set this to False.
-    _inline_allowed = True
 
     def __call__(self, ctx: BatchContext, next: Next) -> BatchContext:
         # Rejected/cached/throttled responses cost one classification-loop
@@ -444,48 +439,6 @@ class Execute:
             self._run_pending(ctx)
         return next(ctx)
 
-    # ------------------------------------------------------------------ hooks
-    def _workers_for(self, ctx: BatchContext, num_distinct: int) -> int:
-        kernel = ctx.kernel
-        workers = ctx.max_workers if ctx.max_workers is not None else kernel.max_workers
-        if workers is None:
-            workers = min(num_distinct, os.cpu_count() or 1)
-        if kernel._uses_shared_generator(ctx.finder):
-            # A shared live Generator is mutated by every run and is not
-            # thread-safe; concurrent draws could corrupt its state.
-            workers = 1
-        return workers
-
-    def _launch(self, ctx: BatchContext, runnable):
-        """Submit every runnable ``(key, indices)`` item; return (futures, finish).
-
-        Each future resolves to :func:`run_query`'s ``(result, seconds,
-        profile)``.  ``finish(stalled)`` is called once all outcomes are
-        collected; ``stalled`` is True when at least one run was abandoned
-        past its deadline, in which case the pool must not block on it.
-        """
-        workers = self._workers_for(ctx, len(runnable))
-        pool = ThreadPoolExecutor(max_workers=max(1, workers))
-        obs, _recorder = _obs_of(ctx)
-        futures = [
-            pool.submit(
-                run_query,
-                ctx.finder,
-                key[0],
-                key[1],
-                obs.run_profiler() if obs is not None else None,
-            )
-            for key, _indices in runnable
-        ]
-
-        def finish(stalled: bool) -> None:
-            # An abandoned (timed-out) run keeps its worker thread busy;
-            # shutting down without waiting lets the batch return while the
-            # stray run finishes in the background and is discarded.
-            pool.shutdown(wait=not stalled)
-
-        return futures, finish
-
     # ------------------------------------------------------------------ the run loop
     def _run_pending(self, ctx: BatchContext) -> None:
         kernel = ctx.kernel
@@ -494,7 +447,7 @@ class Execute:
             if ctx._extras is not None
             else time.monotonic
         )
-        distinct = list(ctx.pending.items())
+        obs, recorder = _obs_of(ctx)
         runs = timeouts = errors = 0
 
         def give_up(key, indices, status, message=None) -> None:
@@ -511,7 +464,7 @@ class Execute:
         # is never run at all.
         runnable = []
         now = clock()
-        for key, indices in distinct:
+        for key, indices in list(ctx.pending.items()):
             states = [ctx.states[index] for index in indices]
             if states and all(
                 state.deadline is not None and now >= state.deadline for state in states
@@ -521,58 +474,18 @@ class Execute:
             else:
                 runnable.append((key, indices))
 
-        if runnable:
-            has_deadline = any(
-                ctx.states[index].deadline is not None
-                for _key, indices in runnable
-                for index in indices
-            )
-            workers = self._workers_for(ctx, len(runnable))
-            if (
-                self._inline_allowed
-                and not has_deadline
-                and (workers <= 1 or len(runnable) == 1)
-            ):
-                runs, timeouts, errors = self._run_inline(
-                    ctx, runnable, clock, give_up, runs, timeouts, errors
-                )
-            else:
-                runs, timeouts, errors = self._run_pooled(
-                    ctx, runnable, clock, give_up, runs, timeouts, errors
-                )
-
-        if runs or timeouts or errors:
-            with kernel._lock:
-                stats = kernel._stats
-                stats.gso_runs += runs
-                stats.timeouts += timeouts
-                stats.errors += errors
-
-    def _run_inline(self, ctx, runnable, clock, give_up, runs, timeouts, errors):
-        """Sequential execution (single worker / single distinct query)."""
-        obs, recorder = _obs_of(ctx)
-        for key, indices in runnable:
-            query, max_proposals = key
+        def launch(item):
+            (query, max_proposals), _indices = item
             hook = obs.run_profiler() if obs is not None else None
-            try:
-                result, seconds, profile = run_query(ctx.finder, query, max_proposals, hook)
-            except Exception as exc:  # noqa: BLE001 - isolated per request
-                give_up(key, indices, "error", f"{type(exc).__name__}: {exc}")
-                errors += len(indices)
-                continue
-            runs += 1
-            if obs is not None:
-                self._record_run(ctx, obs, recorder, indices, result, seconds, profile)
-            timeouts += self._deliver(ctx, key, indices, result, seconds, clock)
-        return runs, timeouts, errors
+            return kernel._submit(run_query, ctx.finder, query, max_proposals, hook)
 
-    def _run_pooled(self, ctx, runnable, clock, give_up, runs, timeouts, errors):
-        futures, finish = self._launch(ctx, runnable)
-        stalled = False
-        obs, recorder = _obs_of(ctx)
+        # ``map`` is lazy: a shared live Generator gets each run submitted
+        # only when the loop below reaches it.
+        futures = map(launch, runnable)
+        if not kernel._uses_shared_generator(ctx.finder):
+            futures = list(futures)
         for (key, indices), future in zip(runnable, futures):
-            states = [ctx.states[index] for index in indices]
-            deadlines = [state.deadline for state in states]
+            deadlines = [ctx.states[index].deadline for index in indices]
             # The run is waited on until the *latest* requester gives up; a
             # single unbounded requester keeps the wait unbounded.
             wait_seconds = None
@@ -581,31 +494,27 @@ class Execute:
             try:
                 result, seconds, profile = future.result(timeout=wait_seconds)
             except FuturesTimeoutError:
-                future.cancel()
-                stalled = True
+                future.cancel()  # dequeues a run that never started
                 give_up(key, indices, "timeout")
                 timeouts += len(indices)
                 continue
             except Exception as exc:  # noqa: BLE001 - isolated per request
                 give_up(key, indices, "error", f"{type(exc).__name__}: {exc}")
                 errors += len(indices)
-                self._note_failure(exc)
                 continue
             runs += 1
             if obs is not None:
-                self._record_run(ctx, obs, recorder, indices, result, seconds, profile)
+                obs.record_gso_run(ctx.states[indices[0]].request.model, result)
+                if recorder is not None:
+                    recorder.run_span(indices, seconds, result, profile)
             timeouts += self._deliver(ctx, key, indices, result, seconds, clock)
-        finish(stalled)
-        return runs, timeouts, errors
 
-    def _record_run(self, ctx, obs, recorder, indices, result, seconds, profile) -> None:
-        """Count one finished optimiser run and attach its span."""
-        obs.record_gso_run(ctx.states[indices[0]].request.model, result, profile)
-        if recorder is not None:
-            recorder.run_span(indices, seconds, result, profile)
-
-    def _note_failure(self, exc: BaseException) -> None:
-        """Hook for subclasses to react to run failures (e.g. a broken pool)."""
+        if runs or timeouts or errors:
+            with kernel._lock:
+                stats = kernel._stats
+                stats.gso_runs += runs
+                stats.timeouts += timeouts
+                stats.errors += errors
 
     def _deliver(self, ctx, key, indices, result, seconds, clock) -> int:
         """Assign a completed run to its requesters, expiring late deadlines.

@@ -14,12 +14,9 @@ The :class:`ModelRegistry` hosts one
 
 Batches may mix tenants freely: :meth:`ModelRegistry.find_batch` groups the
 requests per model, serves each group through its kernel's middleware chain
-(keeping in-batch coalescing and parallel execution per tenant), and returns
-the responses in input order.  The PR 3 online loop drives per-model
-refresh/hot-swap through :meth:`refresh` / :meth:`refresh_all`; a
-:class:`~repro.online.RefreshPolicy` can be attached to any individual kernel
-(it exposes the same ``refresh``/``pending_log_entries`` surface the policy
-expects).
+(keeping in-batch coalescing and each tenant's own run pool), and returns the
+responses in input order.  The online loop drives per-model refresh/hot-swap
+through :meth:`refresh` / :meth:`refresh_all`.
 """
 
 from __future__ import annotations
@@ -156,20 +153,15 @@ class ModelRegistry:
             raise ValidationError(f"expected a FindRequest, got {type(request)!r}")
         return self.get(request.model).handle(request)
 
-    def find_batch(
-        self,
-        requests: Sequence[FindRequest],
-        max_workers: Optional[int] = None,
-    ) -> List[FindResponse]:
+    def find_batch(self, requests: Sequence[FindRequest]) -> List[FindResponse]:
         """Serve a mixed-tenant batch; responses come back in input order.
 
         Requests are grouped by model name and each group goes through its
         kernel's chain as one batch, so per-tenant coalescing, caching and
         parallel execution behave exactly as a single-tenant batch would.
         Groups are served one after another on the calling thread, in order
-        of each tenant's first request; ``max_workers`` is forwarded to each
-        kernel's own execution pool, which is where a group's distinct runs
-        overlap.
+        of each tenant's first request; a group's distinct runs overlap on
+        its kernel's own run pool.
         """
         groups: Dict[str, List[int]] = {}
         for index, request in enumerate(requests):
@@ -183,9 +175,7 @@ class ModelRegistry:
         kernels = {name: self.get(name) for name in groups}
         responses: List[Optional[FindResponse]] = [None] * len(requests)
         for name, indices in groups.items():
-            batch = kernels[name].handle_batch(
-                [requests[index] for index in indices], max_workers=max_workers
-            )
+            batch = kernels[name].handle_batch([requests[index] for index in indices])
             for index, response in zip(indices, batch):
                 responses[index] = response
         return responses  # type: ignore[return-value]
@@ -204,21 +194,6 @@ class ModelRegistry:
                 continue
             outcomes[name] = kernel.refresh(force_full=force_full)
         return outcomes
-
-    @property
-    def pending_log_entries(self) -> int:
-        """Unconsumed log pairs summed across tenants (0 for log-less ones).
-
-        Gives the registry the same ``pending_log_entries``/``refresh``-style
-        surface a single kernel exposes, so a
-        :class:`~repro.online.RefreshPolicy` can watch a whole fleet.
-        """
-        total = 0
-        for name in self.names():
-            kernel = self.get(name)
-            if kernel.query_log is not None:
-                total += kernel.pending_log_entries
-        return total
 
     def stats(self) -> Dict[str, ServiceStats]:
         """Per-tenant counter snapshots (name → :class:`ServiceStats`)."""
@@ -281,12 +256,10 @@ class ModelRegistry:
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Release every tenant's execution resources (idempotent).
+        """Shut down every tenant's run pool (idempotent).
 
-        Forwards to each kernel's :meth:`ServiceKernel.close`, which shuts
-        down any middleware-owned pools (e.g. a
-        :class:`~repro.api.execution.ProcessExecute` worker pool).  Kernels
-        stay registered and usable — a later batch simply rebuilds its pool.
+        Forwards to each kernel's :meth:`ServiceKernel.close`.  Kernels stay
+        registered and usable — a later miss simply rebuilds its pool.
         """
         for name in self.names():
             self.get(name).close()

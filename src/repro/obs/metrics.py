@@ -1,4 +1,4 @@
-"""A thread-safe, process-aware metrics registry with Prometheus exposition.
+"""A thread-safe, mergeable metrics registry with Prometheus exposition.
 
 The serving layer's counters (:class:`~repro.api.kernel.ServiceStats`) are a
 coarse per-kernel summary; operating the ROADMAP's front door needs labelled
@@ -8,11 +8,11 @@ storage for those series with three deliberate properties:
 
 * **thread-safe**: every family keeps one lock; increments from the kernel's
   worker threads, the admission stage and the ASGI scrape path never race;
-* **process-aware**: :meth:`MetricsRegistry.snapshot` produces a plain,
+* **mergeable**: :meth:`MetricsRegistry.snapshot` produces a plain,
   picklable dict and :meth:`MetricsRegistry.merge` folds such a snapshot into
-  a live registry — a :class:`~repro.api.execution.ProcessExecute` worker
-  records into a private registry and ships the delta back with its result,
-  so counts survive the process boundary without shared memory;
+  a live registry — :meth:`repro.api.ModelRegistry.render_metrics` merges the
+  registries of tenants that carry separate observability bundles into one
+  ``/metrics`` body;
 * **pull-based gauges**: callbacks registered via
   :meth:`MetricsRegistry.register_collector` run at snapshot/render time, so
   state that already exists elsewhere (cache occupancy, generation, drift
@@ -36,7 +36,7 @@ from repro.exceptions import ValidationError
 
 #: Fixed log-spaced latency buckets (seconds): 1 µs to 100 s, two per decade.
 #: Shared by every latency histogram so per-stage series are comparable and
-#: worker-snapshot merges never face mismatched bucket layouts.
+#: snapshot merges never face mismatched bucket layouts.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     round(10.0 ** (exponent / 2.0), 12) for exponent in range(-12, 5)
 )
@@ -302,9 +302,7 @@ class MetricsRegistry:
     def snapshot(self, run_collectors: bool = True) -> Dict[str, dict]:
         """A plain, picklable view of every family — the unit of merging.
 
-        Worker processes call this (with their collector-less private
-        registries) and ship the result back with their run results;
-        aggregation layers call it to merge many registries into one.
+        Aggregation layers call it to merge many registries into one.
         """
         if run_collectors:
             self._run_collectors()
@@ -334,7 +332,7 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` into this registry.
 
         Counters and histograms *add* (no increment is ever lost when many
-        worker deltas merge); gauges take the snapshot's value (last writer
+        registries merge); gauges take the snapshot's value (last writer
         wins — gauges describe current state, not accumulation).
         """
         for name, payload in snapshot.items():

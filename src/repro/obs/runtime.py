@@ -195,23 +195,18 @@ class Observability:
         """A fresh per-run profile hook, or ``None`` when profiling is off."""
         return GSORunProfile() if self.gso_profile else None
 
-    def record_gso_run(self, model: str, result, profile=None) -> None:
-        """Count one finished optimiser run, whichever executor ran it.
+    def record_gso_run(self, model: str, result) -> None:
+        """Count one finished optimiser run.
 
         ``result`` is a :class:`~repro.core.finder.RegionSearchResult`; its
-        ``optimization`` summary already carries exact evaluation and
-        iteration counts, so run accounting works even when per-iteration
-        profiling is off (the profile summary is the fallback for results
-        without one).
+        ``optimization`` summary carries exact evaluation and iteration
+        counts, so run accounting works even when per-iteration profiling is
+        off.
         """
+        optimization = result.optimization
         self.gso_runs.labels(model).inc()
-        optimization = getattr(result, "optimization", None)
-        if optimization is not None:
-            self.gso_evals.labels(model).inc(float(optimization.function_evaluations))
-            self.gso_iterations.labels(model).inc(float(optimization.num_iterations))
-        elif profile is not None:
-            self.gso_evals.labels(model).inc(float(profile.get("surrogate_evals", 0)))
-            self.gso_iterations.labels(model).inc(float(profile.get("iterations", 0)))
+        self.gso_evals.labels(model).inc(float(optimization.function_evaluations))
+        self.gso_iterations.labels(model).inc(float(optimization.num_iterations))
 
 
 # --------------------------------------------------------------------------- batch recording
@@ -258,10 +253,8 @@ class BatchRecorder:
         end = perf_counter()
         node = self._stack[-1].child("gso-run", start=end - seconds)
         node.set_attribute("requests", len(indices))
-        optimization = getattr(result, "optimization", None)
-        if optimization is not None:
-            node.set_attribute("iterations", int(optimization.num_iterations))
-            node.set_attribute("surrogate_evals", int(optimization.function_evaluations))
+        node.set_attribute("iterations", int(result.optimization.num_iterations))
+        node.set_attribute("surrogate_evals", int(result.optimization.function_evaluations))
         if profile is not None:
             node.set_attribute("radius_trajectory", profile.get("radius_trajectory"))
             node.set_attribute("feasible_trajectory", profile.get("feasible_trajectory"))

@@ -11,13 +11,12 @@ query log"; this package closes that loop for a live deployment:
    warm-start boosting rounds, escalating to a full refit when the
    :class:`DriftMonitor`'s rolling residuals say the model has drifted, and
    refreshes the Eq. 5 satisfiability CDF from the enlarged sample.
-3. :class:`RefreshPolicy` — a background thread that triggers
-   :meth:`repro.api.ServiceKernel.refresh` once enough new pairs accumulate;
-   the kernel hot-swaps the refreshed models atomically under its lock.
+
+:meth:`repro.api.ServiceKernel.refresh` drives one turn of the loop and
+hot-swaps the refreshed models atomically under the kernel lock.
 """
 
 from repro.online.drift import DriftMonitor
-from repro.online.policy import RefreshPolicy
 from repro.online.query_log import QueryLog
 from repro.online.trainer import IncrementalTrainer, RefreshOutcome
 
@@ -26,5 +25,4 @@ __all__ = [
     "DriftMonitor",
     "IncrementalTrainer",
     "RefreshOutcome",
-    "RefreshPolicy",
 ]

@@ -681,20 +681,12 @@ class TestLoadControlSurface:
             FindResponse(model="m", status="served", satisfiability=0.5, error=42)
 
     def test_executor_option_is_validated(self, fitted_surf):
+        # Runs always go through the kernel's thread pool; a config that
+        # still asks for another executor fails by name, not with a TypeError.
         with pytest.raises(ValidationError, match="executor"):
-            ServiceKernel(fitted_surf, executor="rocket")
-        with pytest.raises(ValidationError):
-            ServiceKernel(fitted_surf, executor="process", middleware=default_chain())
-
-    def test_process_kernel_matches_thread_kernel(self, fitted_surf, density_query):
-        with ServiceKernel(fitted_surf, executor="process", max_workers=2) as kernel:
-            baseline = ServiceKernel(fitted_surf).handle(density_query)
-            response = kernel.handle(density_query)
-            assert response.status == "served"
-            assert proposals_identical(response.result.proposals, baseline.result.proposals)
-            # Second batch reuses the persistent pool.
-            again = kernel.handle(FindRequest.from_query(density_query))
-            assert again.status == "cached"
+            ModelRegistry().register("m", fitted_surf, executor="process")
+        with pytest.raises(ValidationError, match="executor"):
+            kernel_from_config(fitted_surf, {"executor": "process"})
 
     def test_stats_fold_is_atomic_under_concurrent_batches(self, fitted_surf):
         from concurrent.futures import ThreadPoolExecutor
@@ -719,20 +711,18 @@ class TestLoadControlSurface:
         registry = ModelRegistry()
         registry.register("logged", fitted_surf, query_log=QueryLog(capacity=100))
         registry.register("plain", fitted_surf)
-        assert registry.pending_log_entries == 0
-        response = registry.find(FindRequest(threshold=1e-3, model="logged"))
         kernel = registry.get("logged")
+        assert kernel.pending_log_entries == 0
+        assert registry.get("plain").pending_log_entries == 0
+        response = registry.find(FindRequest(threshold=1e-3, model="logged"))
         for proposal in response.result.proposals:
             kernel.observe(proposal.region, proposal.predicted_value)
-        assert registry.pending_log_entries == kernel.pending_log_entries
-        assert registry.pending_log_entries > 0
+        assert kernel.pending_log_entries == len(response.result.proposals) > 0
         with registry:
-            pass  # close() is idempotent and safe on thread-pool kernels
-
-    def test_refresh_policy_accepts_a_registry(self, fitted_surf):
-        from repro.online import RefreshPolicy
-
-        registry = ModelRegistry()
-        registry.register("plain", fitted_surf)
-        policy = RefreshPolicy(registry, interval_seconds=60.0, min_new_pairs=1)
-        assert policy.run_once() is False  # no logs → nothing pending
+            pass  # close() shuts each kernel's run pool down
+        registry.close()  # idempotent
+        # A closed kernel stays usable: the next miss builds a fresh pool.
+        kernel.clear_cache()
+        again = registry.find(FindRequest(threshold=1e-3, model="logged"))
+        assert again.status == "served"
+        assert kernel.stats.gso_runs == 2

@@ -1,29 +1,26 @@
-"""Fault-injection tests: mid-batch failures, stalls and worker crashes.
+"""Fault-injection tests: mid-batch failures and stalls.
 
 The serving chain must degrade *per request*: a GSO run that raises (or
-stalls past its deadline, or takes its whole worker process down) yields
-``"error"`` / ``"timeout"`` on exactly the requests that depended on it,
-never writes to the cache, never contaminates the other requests in the
-batch, and leaves :class:`~repro.api.kernel.ServiceStats` consistent.  Both
-execution paths — the thread pool and the
-:class:`~repro.api.execution.ProcessExecute` process pool — are covered.
+stalls past its deadline) yields ``"error"`` / ``"timeout"`` on exactly the
+requests that depended on it, never writes to the cache, never contaminates
+the other requests in the batch, and leaves
+:class:`~repro.api.kernel.ServiceStats` consistent.  Every run executes on
+the kernel's persistent run pool, so a storm of stalled runs must also keep
+the thread count within the pool's width.
 
 The flaky finders are **threshold-keyed**, not call-counted: a query whose
 threshold lands in the poison set fails deterministically no matter which
-thread or worker process runs it (call counters would not survive the process
-boundary, where each worker holds its own unpickled copy).
+pool thread runs it.
 """
 
 import copy
-import os
+import sys
+import threading
 import time
-
-import pytest
 
 from repro.api import (
     Deadline,
     FindRequest,
-    ProcessExecute,
     ServiceKernel,
     production_chain,
 )
@@ -31,7 +28,6 @@ from repro.core.finder import SuRF
 
 
 # --------------------------------------------------------------------------- flaky finders
-# Module level so instances pickle cleanly into process-pool workers.
 class FlakyFinder(SuRF):
     """Raises on any query whose threshold is in the poison set."""
 
@@ -54,15 +50,11 @@ class StallFinder(SuRF):
         )
 
 
-class CrashFinder(SuRF):
-    """Kills its own process on poisoned thresholds (worker-crash injection)."""
+class InstantFinder(SuRF):
+    """Answers every query with one canned result, so runs cost ~nothing."""
 
     def find_regions(self, query, max_proposals=None, profile_hook=None):
-        if any(abs(query.threshold - poison) < 1e-12 for poison in self.poison):
-            os._exit(13)
-        return super().find_regions(
-            query, max_proposals=max_proposals, profile_hook=profile_hook
-        )
+        return self.canned
 
 
 def make_flaky(fitted_surf, cls, poison, **attrs):
@@ -144,8 +136,8 @@ class TestThreadPoolFaults:
         assert kernel.stats.errors == 2
         assert kernel.stats.gso_runs == 0
 
-    def test_inline_path_isolates_errors_too(self, fitted_surf, density_query):
-        # max_workers=1 forces the sequential (inline) execution path.
+    def test_one_worker_pool_isolates_errors_too(self, fitted_surf, density_query):
+        # max_workers=1 runs the batch's distinct queries one after another.
         flaky = make_flaky(fitted_surf, FlakyFinder, [POISON])
         kernel = ServiceKernel(flaky, max_workers=1)
         responses = kernel.handle_batch(
@@ -154,11 +146,51 @@ class TestThreadPoolFaults:
         assert [r.status for r in responses] == ["error", "served"]
         assert_stats_consistent(kernel, responses)
 
+    def test_close_racing_batches_fails_no_request(self, fitted_surf, density_query):
+        # close() may retire the pool while other threads submit to it: every
+        # request must still get a verdict (a cancelled run reads "error"),
+        # never an exception out of handle().
+        canned = fitted_surf.find_regions(density_query)
+        instant = make_flaky(fitted_surf, InstantFinder, [], canned=canned)
+        kernel = ServiceKernel(instant, cache_size=0, max_workers=2)
+        clients, per_client = 8, 40
+        statuses = []
+        done = threading.Event()
+
+        def client():
+            for _ in range(per_client):
+                statuses.append(kernel.handle(density_query).status)
+
+        def closer():
+            while not done.is_set():
+                kernel.close()
+                time.sleep(0)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        closing = threading.Thread(target=closer)
+        try:
+            closing.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            closing.join(timeout=10)
+            sys.setswitchinterval(previous)
+            kernel.close()
+        assert not any(thread.is_alive() for thread in threads + [closing])
+        assert len(statuses) == clients * per_client
+        assert set(statuses) <= {"served", "error"}
+        assert kernel.stats.gso_runs + kernel.stats.errors == clients * per_client
+
 
 # --------------------------------------------------------------------------- deadlines
 class TestDeadlines:
-    def make_kernel(self, finder, budget=None, execute=None, **options):
-        chain = production_chain(deadline=Deadline(default_budget=budget), execute=execute)
+    def make_kernel(self, finder, budget=None, **options):
+        chain = production_chain(deadline=Deadline(default_budget=budget))
         return ServiceKernel(finder, middleware=chain, **options)
 
     def test_stalled_run_times_out_while_others_serve(self, fitted_surf, density_query):
@@ -193,58 +225,22 @@ class TestDeadlines:
         assert response.proposals
         assert kernel.stats.timeouts == 0
 
-
-# --------------------------------------------------------------------------- process path
-class TestProcessPoolFaults:
-    def test_worker_exception_is_isolated_per_request(self, fitted_surf, density_query):
-        flaky = make_flaky(fitted_surf, FlakyFinder, [POISON])
-        with ServiceKernel(flaky, executor="process", max_workers=2) as kernel:
-            responses = kernel.handle_batch(
-                [
-                    FindRequest(threshold=density_query.threshold),
-                    FindRequest(threshold=POISON),
-                ]
-            )
-            assert [r.status for r in responses] == ["served", "error"]
-            assert "RuntimeError" in responses[1].error
-            assert kernel.cached_queries == 1
-            assert_stats_consistent(kernel, responses)
-            # The pool survives an ordinary worker exception.
-            again = kernel.handle(FindRequest(threshold=density_query.threshold * 1.01))
-            assert again.status == "served"
-
-    def test_worker_crash_breaks_only_the_current_batch(self, fitted_surf, density_query):
-        crash = make_flaky(fitted_surf, CrashFinder, [POISON])
-        with ServiceKernel(crash, executor="process", max_workers=2) as kernel:
-            broken = kernel.handle(FindRequest(threshold=POISON))
-            assert broken.status == "error"
-            assert broken.error  # BrokenProcessPool text surfaces on the envelope
-            # The dead pool was dropped; the next batch rebuilds and serves.
-            recovered = kernel.handle(FindRequest(threshold=density_query.threshold))
-            assert recovered.status == "served"
-            assert recovered.proposals
-
-    def test_stalled_worker_times_out_under_a_deadline(self, fitted_surf, density_query):
-        stall = make_flaky(fitted_surf, StallFinder, [POISON], stall_seconds=3.0)
-        execute = ProcessExecute(max_workers=2)
-        chain = production_chain(deadline=Deadline(default_budget=0.5), execute=execute)
-        kernel = ServiceKernel(stall, middleware=chain, max_workers=2)
+    def test_stall_storm_keeps_threads_bounded(self, fitted_surf):
+        # Each batch abandons one fresh stalled run; the abandoned runs must
+        # queue on the kernel's pool instead of each keeping a new thread.
+        max_workers = 2
+        poisons = [POISON * (1.0 + 0.01 * step) for step in range(20)]
+        stall = make_flaky(fitted_surf, StallFinder, poisons, stall_seconds=2.0)
+        kernel = self.make_kernel(stall, budget=0.05, max_workers=max_workers)
+        baseline = threading.active_count()
+        peak = baseline
         try:
-            responses = kernel.handle_batch(
-                [
-                    FindRequest(threshold=density_query.threshold),
-                    FindRequest(threshold=POISON),
-                ]
-            )
-            assert [r.status for r in responses] == ["served", "timeout"]
-            assert kernel.cached_queries == 1
+            for threshold in poisons:
+                responses = kernel.handle_batch([FindRequest(threshold=threshold)])
+                assert [r.status for r in responses] == ["timeout"]
+                peak = max(peak, threading.active_count())
         finally:
             kernel.close()
-
-    def test_unpicklable_finder_falls_back_to_threads(self, fitted_surf, density_query):
-        unpicklable = copy.copy(fitted_surf)
-        unpicklable.not_picklable = lambda: None  # lambdas cannot be pickled
-        with ServiceKernel(unpicklable, executor="process", max_workers=2) as kernel:
-            response = kernel.handle(FindRequest(threshold=density_query.threshold))
-            assert response.status == "served"
-            assert response.proposals
+        assert peak <= baseline + max_workers
+        assert kernel.stats.timeouts == len(poisons)
+        assert kernel.cached_queries == 0

@@ -1,7 +1,7 @@
 """Unit and integration tests for the observability layer (repro.obs).
 
 Covers the metrics registry (exact totals under thread concurrency, the
-process-pool snapshot/merge round trip), request tracing (span trees for both
+snapshot/merge round trip), request tracing (span trees for both
 the GSO and cached paths, coalescing linkage, the trace-id satellite
 regression), the GSO profiling hook (bit-identical results, trajectory
 lengths), and the front-door surfacing (``GET /metrics`` Prometheus text,
@@ -21,7 +21,6 @@ from repro.api import (
     Deadline,
     FindRequest,
     ModelRegistry,
-    ProcessExecute,
     ServiceKernel,
     asgi_request,
     production_chain,
@@ -261,6 +260,15 @@ class TestKernelIntegration:
         assert response.timing is None
         assert response.trace_id is None
 
+    def test_kernel_close_closes_the_trace_sink(self, fitted_surf, density_query, tmp_path):
+        obs = Observability(trace_jsonl=tmp_path / "traces.jsonl")
+        kernel = ServiceKernel(fitted_surf, observability=obs)
+        kernel.handle(FindRequest.from_query(density_query))
+        assert obs.tracer._sink is not None
+        kernel.close()  # shuts the run pool down and closes the Trace stage
+        assert obs.tracer._sink is None
+        assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 1
+
     def test_gso_and_cached_requests_produce_complete_span_trees(
         self, fitted_surf, density_query
     ):
@@ -433,32 +441,6 @@ class TestMetricsUnderConcurrency:
             + latency['{model="beta",stage="total"}']
             == per_thread * threads
         )
-
-    def test_process_pool_snapshot_merge_loses_no_increments(
-        self, fitted_surf, density_query
-    ):
-        obs = Observability()
-        chain = production_chain(execute=ProcessExecute(max_workers=2), observability=obs)
-        kernel = ServiceKernel(
-            fitted_surf, name="pooled", middleware=chain, max_workers=2
-        )
-        try:
-            thresholds = [density_query.threshold * scale for scale in (1.0, 1.01, 0.99)]
-            responses = kernel.handle_batch(
-                [FindRequest(threshold=value, model="pooled") for value in thresholds]
-            )
-            statuses = [response.status for response in responses]
-            assert statuses.count("served") == len(thresholds)
-        finally:
-            kernel.close()
-        parsed = parse_prometheus_text(obs.metrics.render())
-        # Every pooled run is counted once its result comes home: one run per
-        # threshold, with the evaluation counts the result carries.
-        assert parsed["repro_gso_runs_total"]['{model="pooled"}'] == len(thresholds)
-        assert parsed["repro_gso_surrogate_evals_total"]['{model="pooled"}'] > 0
-        record = obs.tracer.get(responses[0].trace_id)
-        flat = json.dumps(record.to_dict())
-        assert "gso-run" in flat  # pooled runs still land in the span tree
 
     def test_error_and_timeout_verdict_labels(self, fitted_surf, density_query):
         obs = Observability()

@@ -9,7 +9,7 @@ from repro.data.regions import Region
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.metrics import root_mean_squared_error
-from repro.online import DriftMonitor, IncrementalTrainer, QueryLog, RefreshPolicy
+from repro.online import DriftMonitor, IncrementalTrainer, QueryLog
 from repro.surrogate.workload import RegionEvaluation, RegionWorkload
 
 
@@ -423,86 +423,6 @@ class TestServiceRefresh:
         service = ServiceKernel(loaded, query_log=QueryLog())
         service.observe_many(list(generate_workload(density_engine, 40, random_state=2)))
         assert service.refresh().mode == "incremental"
-
-
-# --------------------------------------------------------------------------- refresh policy
-class TestRefreshPolicy:
-    def test_run_once_waits_for_min_new_pairs(self, online_service, density_engine):
-        from repro.surrogate.workload import generate_workload
-
-        policy = RefreshPolicy(online_service, interval_seconds=60.0, min_new_pairs=50)
-        online_service.observe_many(list(generate_workload(density_engine, 30, random_state=8)))
-        assert not policy.run_once()
-        online_service.observe_many(list(generate_workload(density_engine, 30, random_state=9)))
-        assert policy.run_once()
-        assert policy.num_refreshes == 1
-        assert policy.last_outcome.mode == "incremental"
-        assert online_service.generation == 1
-
-    def test_background_thread_triggers_refresh(self, online_service, density_engine):
-        import time
-
-        from repro.surrogate.workload import generate_workload
-
-        online_service.observe_many(list(generate_workload(density_engine, 40, random_state=10)))
-        with RefreshPolicy(online_service, interval_seconds=0.05, min_new_pairs=10) as policy:
-            deadline = time.time() + 30.0
-            while policy.num_refreshes == 0 and time.time() < deadline:
-                time.sleep(0.05)
-        assert policy.num_refreshes >= 1
-        assert online_service.generation >= 1
-
-    def test_background_thread_survives_a_failed_refresh(self, online_service, density_engine):
-        import time
-
-        from repro.surrogate.workload import generate_workload
-
-        calls = {"count": 0}
-        real_refresh = online_service.refresh
-
-        def flaky_refresh(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise ValidationError("transient training failure")
-            return real_refresh(*args, **kwargs)
-
-        online_service.refresh = flaky_refresh
-        online_service.observe_many(list(generate_workload(density_engine, 40, random_state=11)))
-        policy = RefreshPolicy(online_service, interval_seconds=0.05, min_new_pairs=10)
-        policy.start()
-        deadline = time.time() + 30.0
-        while policy.num_refreshes == 0 and time.time() < deadline:
-            time.sleep(0.05)
-        with pytest.raises(ValidationError, match="transient"):
-            policy.stop()
-        # The first tick failed, the loop kept going and the retry succeeded.
-        assert policy.num_errors == 1
-        assert policy.num_refreshes >= 1
-        assert online_service.generation >= 1
-
-    def test_stop_reraises_background_errors(self, fitted_surf):
-        service = ServiceKernel(fitted_surf)  # no query log: refresh raises
-        policy = RefreshPolicy(service, interval_seconds=60.0, min_new_pairs=1)
-        policy.last_error = ValidationError("boom")
-        with pytest.raises(ValidationError):
-            policy.stop()
-
-    def test_exit_keeps_background_error_when_body_raised(self, fitted_surf):
-        # A with-body exception must not silently erase a background refresh
-        # failure: the body error propagates, the refresh error stays readable.
-        policy = RefreshPolicy(ServiceKernel(fitted_surf), interval_seconds=60.0)
-        background = ValidationError("refresh died")
-        with pytest.raises(RuntimeError, match="body failed"):
-            with policy:
-                policy.last_error = background
-                raise RuntimeError("body failed")
-        assert policy.last_error is background
-
-    def test_validation(self, online_service):
-        with pytest.raises(ValidationError):
-            RefreshPolicy(online_service, interval_seconds=0.0)
-        with pytest.raises(ValidationError):
-            RefreshPolicy(online_service, min_new_pairs=0)
 
 
 # --------------------------------------------------------------------------- stats

@@ -257,8 +257,8 @@ class TestBatchServing:
             direction="above",
             size_penalty=density_query.size_penalty,
         )
-        service = ServiceKernel(fitted_surf)
-        responses = service.handle_batch([density_query, variant], max_workers=1)
+        service = ServiceKernel(fitted_surf, max_workers=1)
+        responses = service.handle_batch([density_query, variant])
         assert [response.status for response in responses] == ["served", "served"]
         assert service.stats.gso_runs == 2
 
@@ -280,10 +280,10 @@ class TestBatchServing:
             random_state=shared,
         )
         finder.fit(density_workload)
-        service = ServiceKernel(finder)
+        service = ServiceKernel(finder, max_workers=4)
         assert service._uses_shared_generator()
         variant = RegionQuery(threshold=density_query.threshold * 0.9, direction="above")
-        responses = service.handle_batch([density_query, variant], max_workers=4)
+        responses = service.handle_batch([density_query, variant])
         assert [response.status for response in responses] == ["served", "served"]
         assert service.stats.gso_runs == 2
 
