@@ -118,7 +118,7 @@ def test_bench_ablation_gso_vs_pso(benchmark, bench_scale):
         gso_iou = average_iou(gso_result.all_feasible_regions(), synthetic.ground_truth_regions)
 
         pso = ParticleSwarmOptimizer(
-            objective,
+            objective.evaluate_batch,
             lower,
             upper,
             PSOParameters(

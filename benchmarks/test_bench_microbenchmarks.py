@@ -144,11 +144,7 @@ def swarm_state():
     params = GSOParameters(num_particles=GSO_BENCH_PARTICLES, num_iterations=1, random_state=0)
     optimizers = {
         movement: optimizer_cls(
-            lambda v: -float(np.sum((v - 0.5) ** 2)),
-            [0.0] * dim,
-            [1.0] * dim,
-            params,
-            batch_objective=lambda m: -np.sum((m - 0.5) ** 2, axis=1),
+            lambda m: -np.sum((m - 0.5) ** 2, axis=1), [0.0] * dim, [1.0] * dim, params
         )
         for movement, optimizer_cls in (
             ("reference", ReferenceGlowwormSwarmOptimizer),

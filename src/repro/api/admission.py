@@ -243,12 +243,6 @@ class AdmissionControl:
         self._inflight = 0
         self._lock = threading.Lock()
 
-    @property
-    def inflight(self) -> int:
-        """Distinct runs currently admitted and not yet finished."""
-        with self._lock:
-            return self._inflight
-
     def __call__(self, ctx: BatchContext, next: Next) -> BatchContext:
         if not ctx.pending:
             return next(ctx)

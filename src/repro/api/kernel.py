@@ -49,8 +49,9 @@ class ServiceStats:
 
     ``cache_misses`` counts queries that needed a result not in the cache when
     they arrived; of those, ``coalesced`` were answered by sharing an identical
-    in-flight run inside the same batch, so ``gso_runs`` — actual optimiser
-    executions — equals ``cache_misses - coalesced``.  ``harvested`` counts
+    in-flight run inside the same batch.  ``gso_runs`` counts optimiser runs
+    that completed, so it equals ``cache_misses - coalesced`` only while no
+    miss is shed, times out or fails.  ``harvested`` counts
     exact evaluations recorded into the query log through this kernel — both
     ground-truthed proposals (``exact_engine``) and externally observed pairs
     (``observe``/``observe_many``); ``refreshes`` counts how many times a
@@ -61,8 +62,9 @@ class ServiceStats:
     dropped the run under pressure), ``timeouts`` (per-request deadline
     expired before or during the run) and ``errors`` (the optimiser run
     raised).  All four classes of request are counted in ``queries``;
-    throttled/shed requests are *not* counted as cache hits, while timeouts
-    and errors were classified as misses before their run failed.
+    throttled requests never reach the cache, while shed, timed-out and
+    failed requests were classified as misses before admission dropped them
+    or their run failed.
 
     Every mutation of these counters happens under the kernel lock — either
     inline in the classification stage (which already holds it) or as one

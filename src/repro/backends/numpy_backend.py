@@ -159,19 +159,13 @@ class NumpyBackend(DataBackend):
           ``MAX_MASK_ELEMENTS`` region blocks reduced by the statistic's
           batch kernel (which vectorises count/ratio and loops the scalar
           reduction for order-sensitive float statistics).
-        * Indexed: prune to candidates, then count or gather over the sorted
-          candidate rows — no ``(M, N)`` mask is materialised for any
+        * Indexed: the base template, whose count or gather prunes to the
+          sorted candidate rows — no ``(M, N)`` mask is materialised for any
           statistic.
         """
-        lowers, uppers = self._check_corners(lowers, uppers)
         if self._index is not None:
-            if statistic.count_only:
-                return statistic.compute_from_counts(self.count(lowers, uppers))
-            self._require_target(statistic)
-            return np.asarray(
-                [statistic.compute_from_values(values) for values in self.gather(lowers, uppers)],
-                dtype=np.float64,
-            )
+            return super().evaluate(statistic, lowers, uppers)
+        lowers, uppers = self._check_corners(lowers, uppers)
         if not statistic.count_only:
             self._require_target(statistic)
         note = self.counters.note_scan if statistic.count_only else self.counters.note_gather

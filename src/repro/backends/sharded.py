@@ -211,35 +211,30 @@ class ShardedBackend(DataBackend):
 
     # ------------------------------------------------------------------ evaluation
     def evaluate(self, statistic, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-        lowers, uppers = self._check_corners(lowers, uppers)
-        if statistic.count_only:
-            return statistic.compute_from_counts(self.count(lowers, uppers))
-        self._require_target(statistic)
         decomposition = statistic.decomposition
         use_sufficient_stats = decomposition == "exact" or (
             decomposition == "float" and self.merge == "stats"
         )
-        if use_sufficient_stats:
-            # Sufficient-statistics merges never call self.gather, so the
-            # logical gather is accounted here (shards count their own).
-            self.counters.note_gather(lowers.shape[0], lowers.shape[0] * self.num_rows)
-            # Shards reduce their own selections to sufficient statistics;
-            # only O(num_shards) tuples per region cross the merge.
-            parts = self._map(
-                lambda shard: [
-                    statistic.partial_stats(values)
-                    for values in shard.gather(lowers, uppers)
-                ]
-            )
-            return np.asarray(
-                [
-                    statistic.merge_stats([part[row] for part in parts])
-                    for row in range(lowers.shape[0])
-                ],
-                dtype=np.float64,
-            )
+        if statistic.count_only or not use_sufficient_stats:
+            return super().evaluate(statistic, lowers, uppers)
+        lowers, uppers = self._check_corners(lowers, uppers)
+        self._require_target(statistic)
+        # Sufficient-statistics merges never call self.gather, so the
+        # logical gather is accounted here (shards count their own).
+        self.counters.note_gather(lowers.shape[0], lowers.shape[0] * self.num_rows)
+        # Shards reduce their own selections to sufficient statistics;
+        # only O(num_shards) tuples per region cross the merge.
+        parts = self._map(
+            lambda shard: [
+                statistic.partial_stats(values)
+                for values in shard.gather(lowers, uppers)
+            ]
+        )
         return np.asarray(
-            [statistic.compute_from_values(values) for values in self.gather(lowers, uppers)],
+            [
+                statistic.merge_stats([part[row] for part in parts])
+                for row in range(lowers.shape[0])
+            ],
             dtype=np.float64,
         )
 

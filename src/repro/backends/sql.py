@@ -191,24 +191,19 @@ class SQLiteBackend(DataBackend):
 
     # ------------------------------------------------------------------ evaluation
     def evaluate(self, statistic, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-        lowers, uppers = self._check_corners(lowers, uppers)
-        if statistic.count_only:
-            return statistic.compute_from_counts(self.count(lowers, uppers))
-        self._require_target(statistic)
         aggregate = self._AGGREGATES.get(statistic.name)
-        if aggregate is not None and not self.exact_reductions:
-            # Pushed-down aggregation never calls gather, so account here.
-            self.counters.note_gather(lowers.shape[0], lowers.shape[0] * self._num_rows)
-            sql = f"SELECT {aggregate}, COUNT(target) FROM data WHERE {self._where}"
-            values = np.empty(lowers.shape[0], dtype=np.float64)
-            for row in range(lowers.shape[0]):
-                total, count = self._fetch(sql, self._params(lowers[row], uppers[row]))[0]
-                values[row] = statistic.empty_value if count == 0 else float(total)
-            return values
-        return np.asarray(
-            [statistic.compute_from_values(values) for values in self.gather(lowers, uppers)],
-            dtype=np.float64,
-        )
+        if statistic.count_only or aggregate is None or self.exact_reductions:
+            return super().evaluate(statistic, lowers, uppers)
+        lowers, uppers = self._check_corners(lowers, uppers)
+        self._require_target(statistic)
+        # Pushed-down aggregation never calls gather, so account here.
+        self.counters.note_gather(lowers.shape[0], lowers.shape[0] * self._num_rows)
+        sql = f"SELECT {aggregate}, COUNT(target) FROM data WHERE {self._where}"
+        values = np.empty(lowers.shape[0], dtype=np.float64)
+        for row in range(lowers.shape[0]):
+            total, count = self._fetch(sql, self._params(lowers[row], uppers[row]))[0]
+            values[row] = statistic.empty_value if count == 0 else float(total)
+        return values
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:

@@ -78,32 +78,21 @@ class TrueFunctionGSO:
             min_half_fraction=self.min_half_fraction,
             max_half_fraction=self.max_half_fraction,
         )
-        # The true objective is still served by the data engine, but every
-        # per-iteration swarm evaluation goes through the engine's batched
-        # path: one broadcast over the data per iteration instead of L scalar
-        # scans.
-        objective = make_objective(
-            self.objective_kind,
-            engine.evaluate_vector,
-            query,
-            batch_statistic_fn=engine.evaluate_batch,
-        )
+        # One batched engine call per swarm iteration: a broadcast over the
+        # data instead of L scalar scans.
+        objective = make_objective(self.objective_kind, engine.evaluate_batch, query)
         parameters = self.gso_parameters
         if parameters is None:
             parameters = GSOParameters.for_dimension(space.solution_dim, random_state=self.random_state)
 
         lower, upper = space.bounds_vectors()
-        optimizer = GlowwormSwarmOptimizer(
-            objective, lower, upper, parameters, batch_objective=objective.evaluate_batch
-        )
+        optimizer = GlowwormSwarmOptimizer(objective.evaluate_batch, lower, upper, parameters)
         result = optimizer.run()
         proposals = proposals_from_result(
             result,
             objective,
-            engine.evaluate_vector,
             overlap_threshold=self.overlap_threshold,
             max_proposals=max_proposals,
-            batch_predictor=engine.evaluate_batch,
         )
         elapsed = time.perf_counter() - start
         self.last_result_ = TrueGSOResult(

@@ -200,12 +200,7 @@ class SuRF:
     def build_objective(self, query: RegionQuery) -> RegionObjective:
         """The objective ``Ĵ`` (surrogate-backed) used for a given query."""
         self._check_fitted()
-        return make_objective(
-            self.objective_kind,
-            self.surrogate_.predict_vector,
-            query,
-            batch_statistic_fn=self.surrogate_.predict,
-        )
+        return make_objective(self.objective_kind, self.surrogate_.predict, query)
 
     def find_regions(
         self,
@@ -236,11 +231,10 @@ class SuRF:
 
         lower, upper = space.bounds_vectors()
         optimizer = GlowwormSwarmOptimizer(
-            objective=objective,
+            objective=objective.evaluate_batch,
             lower_bounds=lower,
             upper_bounds=upper,
             parameters=parameters,
-            batch_objective=objective.evaluate_batch,
             batch_selection_weight=None if self.density_ is None else self.density_.mass_of_vectors,
             initial_positions=initial_positions,
             profile_hook=profile_hook,
@@ -249,10 +243,8 @@ class SuRF:
         proposals = proposals_from_result(
             result,
             objective,
-            self.surrogate_.predict_vector,
             overlap_threshold=self.overlap_threshold,
             max_proposals=max_proposals,
-            batch_predictor=self.surrogate_.predict,
         )
         elapsed = time.perf_counter() - start
         return RegionSearchResult(

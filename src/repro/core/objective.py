@@ -10,24 +10,22 @@ requested direction and penalise region size through the exponent ``c``:
   (``-inf``) whenever the constraint is violated, so the optimiser implicitly
   rejects infeasible regions.
 
-Objectives are callables over ``[x, l]`` solution vectors so they plug
-directly into the swarm optimisers; ``evaluate_region`` is provided for
-callers holding :class:`~repro.data.regions.Region` objects.
+Objectives score a whole ``(m, 2d)`` matrix of ``[x, l]`` solution vectors at
+once through :meth:`RegionObjective.evaluate_batch`, the callable the swarm
+optimisers take.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal
 
 import numpy as np
 
 from repro.core.query import RegionQuery
-from repro.data.regions import Region
 from repro.exceptions import ValidationError
+from repro.utils.validation import check_batch_values
 
-#: A statistic estimator over solution vectors (true engine or surrogate).
-StatisticFn = Callable[[np.ndarray], float]
 #: A statistic estimator over a batch of solution vectors, shape ``(m, 2d) -> (m,)``.
 BatchStatisticFn = Callable[[np.ndarray], np.ndarray]
 
@@ -37,74 +35,31 @@ class RegionObjective(ABC):
 
     Parameters
     ----------
-    statistic_fn:
-        Estimator of the statistic for a single ``[x, l]`` vector (true engine
-        or surrogate).
+    statistic:
+        Estimator of the statistic over a ``(m, 2d)`` matrix of ``[x, l]``
+        vectors, returning shape ``(m,)``: ``SurrogateModel.predict`` for SuRF,
+        ``DataEngine.evaluate_batch`` for the true function.
     query:
         The threshold query being answered.
-    batch_statistic_fn:
-        Optional vectorised estimator over a ``(m, 2d)`` matrix; when omitted,
-        batch evaluation falls back to looping ``statistic_fn``.
     """
 
-    def __init__(
-        self,
-        statistic_fn: StatisticFn,
-        query: RegionQuery,
-        batch_statistic_fn: Optional[BatchStatisticFn] = None,
-    ):
-        if not callable(statistic_fn):
-            raise ValidationError("statistic_fn must be callable")
-        self.statistic_fn = statistic_fn
+    def __init__(self, statistic: BatchStatisticFn, query: RegionQuery):
+        if not callable(statistic):
+            raise ValidationError("statistic must be callable")
+        self.statistic = statistic
         self.query = query
-        self.batch_statistic_fn = batch_statistic_fn
 
-    # ------------------------------------------------------------------ helpers
-    def _split(self, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.ndim != 1 or vector.size % 2 != 0:
-            raise ValidationError(f"solution vector must be 1-D with even length, got shape {vector.shape}")
-        dim = vector.size // 2
-        return vector[:dim], vector[dim:]
-
-    def _split_batch(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _margins_and_half_lengths(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Constraint margins and half lengths of the rows of a ``(m, 2d)`` matrix."""
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] % 2 != 0:
             raise ValidationError(f"vectors must be a (m, 2d) matrix, got shape {vectors.shape}")
-        dim = vectors.shape[1] // 2
-        return vectors[:, :dim], vectors[:, dim:]
-
-    def _statistics_batch(self, vectors: np.ndarray) -> np.ndarray:
-        if self.batch_statistic_fn is not None:
-            return np.asarray(self.batch_statistic_fn(vectors), dtype=np.float64)
-        return np.asarray([self.statistic_fn(vector) for vector in vectors], dtype=np.float64)
-
-    def _margins_batch(self, vectors: np.ndarray) -> np.ndarray:
-        statistics = self._statistics_batch(vectors)
-        if self.query.direction == "above":
-            return statistics - self.query.threshold
-        return self.query.threshold - statistics
-
-    def margin(self, vector: np.ndarray) -> float:
-        """Constraint slack ``y_R - f`` (below) or ``f - y_R`` (above) for ``vector``."""
-        return self.query.margin(self.statistic_fn(np.asarray(vector, dtype=np.float64)))
-
-    def is_feasible(self, vector: np.ndarray) -> bool:
-        """Whether the region encoded by ``vector`` satisfies the query constraint."""
-        return self.margin(vector) > 0.0
-
-    # ------------------------------------------------------------------ evaluation
-    @abstractmethod
-    def __call__(self, vector: np.ndarray) -> float:
-        """Objective value for an ``[x, l]`` solution vector (``-inf`` if undefined)."""
+        statistics = check_batch_values(self.statistic(vectors), vectors.shape[0], name="statistic")
+        return self.query.margin(statistics), vectors[:, vectors.shape[1] // 2 :]
 
     @abstractmethod
     def evaluate_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Objective values for a ``(m, 2d)`` matrix of solution vectors."""
-
-    def evaluate_region(self, region: Region) -> float:
-        """Objective value for a :class:`Region`."""
-        return self(region.to_vector())
+        """Objective values for a ``(m, 2d)`` matrix of solution vectors (``-inf`` if undefined)."""
 
 
 class LogObjective(RegionObjective):
@@ -114,18 +69,8 @@ class LogObjective(RegionObjective):
     non-positive, which is how the constraint is enforced implicitly.
     """
 
-    def __call__(self, vector: np.ndarray) -> float:
-        _, half_lengths = self._split(vector)
-        if np.any(half_lengths <= 0):
-            return -np.inf
-        margin = self.margin(vector)
-        if margin <= 0:
-            return -np.inf
-        return float(np.log(margin) - self.query.size_penalty * np.sum(np.log(half_lengths)))
-
     def evaluate_batch(self, vectors: np.ndarray) -> np.ndarray:
-        _, half_lengths = self._split_batch(vectors)
-        margins = self._margins_batch(vectors)
+        margins, half_lengths = self._margins_and_half_lengths(vectors)
         feasible = (margins > 0) & np.all(half_lengths > 0, axis=1)
         values = np.full(margins.shape[0], -np.inf)
         if np.any(feasible):
@@ -138,28 +83,17 @@ class RatioObjective(RegionObjective):
     """The raw ratio objective of Eq. 2: ``margin / (prod_i l_i)^c``.
 
     Stays defined (and negative) for infeasible regions — retained to
-    reproduce the sensitivity analysis of Fig. 7.
+    reproduce the sensitivity analysis of Fig. 7.  Rows with a non-positive
+    half length score ``-inf``.
     """
 
-    def __call__(self, vector: np.ndarray) -> float:
-        _, half_lengths = self._split(vector)
-        if np.any(half_lengths <= 0):
-            return -np.inf
-        margin = self.margin(vector)
-        volume_term = float(np.prod(half_lengths)) ** self.query.size_penalty
-        if volume_term <= 0:
-            return -np.inf
-        return float(margin / volume_term)
-
     def evaluate_batch(self, vectors: np.ndarray) -> np.ndarray:
-        _, half_lengths = self._split_batch(vectors)
-        margins = self._margins_batch(vectors)
+        margins, half_lengths = self._margins_and_half_lengths(vectors)
         values = np.full(margins.shape[0], -np.inf)
         positive = np.all(half_lengths > 0, axis=1)
         if np.any(positive):
-            # Exponentiate only rows with positive half lengths, matching the
-            # scalar path's check-first order; a negative product under a
-            # fractional ``size_penalty`` is NaN and warns.
+            # Exponentiate only rows with positive half lengths: a negative
+            # product under a fractional ``size_penalty`` is NaN and warns.
             volume_term = np.prod(half_lengths[positive], axis=1) ** self.query.size_penalty
             valid = volume_term > 0
             rows = np.flatnonzero(positive)[valid]
@@ -170,16 +104,11 @@ class RatioObjective(RegionObjective):
 ObjectiveKind = Literal["log", "ratio"]
 
 
-def make_objective(
-    kind: ObjectiveKind,
-    statistic_fn: StatisticFn,
-    query: RegionQuery,
-    batch_statistic_fn: Optional[BatchStatisticFn] = None,
-) -> RegionObjective:
+def make_objective(kind: ObjectiveKind, statistic: BatchStatisticFn, query: RegionQuery) -> RegionObjective:
     """Factory for objectives by name (``"log"`` for Eq. 4, ``"ratio"`` for Eq. 2)."""
     kind = str(kind).lower()
     if kind == "log":
-        return LogObjective(statistic_fn, query, batch_statistic_fn)
+        return LogObjective(statistic, query)
     if kind == "ratio":
-        return RatioObjective(statistic_fn, query, batch_statistic_fn)
+        return RatioObjective(statistic, query)
     raise ValidationError(f"unknown objective kind {kind!r}; expected 'log' or 'ratio'")

@@ -9,7 +9,7 @@ one representative proposal per discovered mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from repro.core.objective import RegionObjective
 from repro.data.regions import Region
 from repro.exceptions import ValidationError
 from repro.optim.result import OptimizationResult
+from repro.utils.validation import check_batch_values
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,9 @@ class RegionProposal:
 def proposals_from_result(
     result: OptimizationResult,
     objective: RegionObjective,
-    predictor: Callable[[np.ndarray], float],
     overlap_threshold: float = 0.3,
     max_proposals: Optional[int] = None,
     min_support: int = 1,
-    batch_predictor: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> List[RegionProposal]:
     """Cluster the final swarm into distinct region proposals.
 
@@ -62,9 +61,9 @@ def proposals_from_result(
     result:
         The finished optimisation run.
     objective:
-        The objective used during the run (re-used to report objective values).
-    predictor:
-        Statistic estimator over solution vectors, used to annotate proposals.
+        The objective used during the run.  Its ``statistic`` annotates each
+        cluster with one batch call, and ``evaluate_batch`` reports the
+        representatives' objective values.
     overlap_threshold:
         Two particles are considered the same mode when their regions' IoU
         exceeds this value.  Clusters are seeded in decreasing objective order,
@@ -77,9 +76,6 @@ def proposals_from_result(
         Keep at most this many proposals (highest objective first).
     min_support:
         Drop proposals supported by fewer than this many particles.
-    batch_predictor:
-        Optional vectorised ``(m, 2d) -> (m,)`` version of ``predictor``; used
-        to annotate each cluster in one call instead of one call per particle.
     """
     if not 0 <= overlap_threshold <= 1:
         raise ValidationError(f"overlap_threshold must be in [0, 1], got {overlap_threshold}")
@@ -114,12 +110,10 @@ def proposals_from_result(
         if len(indices) < min_support:
             continue
         cluster_vectors = positions[indices]
-        if batch_predictor is not None:
-            predictions = np.asarray(batch_predictor(cluster_vectors), dtype=np.float64)
-        else:
-            predictions = np.asarray([float(predictor(vector)) for vector in cluster_vectors])
-        margins = np.asarray([objective.query.margin(value) for value in predictions])
-        best = int(np.argmax(margins))
+        predictions = check_batch_values(
+            objective.statistic(cluster_vectors), len(indices), name="statistic"
+        )
+        best = int(np.argmax(objective.query.margin(predictions)))
         representative_vectors.append(cluster_vectors[best])
         representative_predictions.append(float(predictions[best]))
         supports.append(len(indices))

@@ -50,15 +50,18 @@ class RegionQuery:
         if self.size_penalty < 0:
             raise ValidationError(f"size_penalty must be >= 0, got {self.size_penalty}")
 
-    def margin(self, value: float) -> float:
-        """Signed slack of ``value`` w.r.t. the constraint (positive = satisfied)."""
+    def margin(self, value: float | np.ndarray) -> float | np.ndarray:
+        """Signed slack of ``value`` w.r.t. the constraint (positive = satisfied).
+
+        ``value`` is one statistic or an array of them; the slack has its shape.
+        """
         if self.direction == "above":
-            return float(value) - self.threshold
-        return self.threshold - float(value)
+            return np.subtract(value, self.threshold, dtype=np.float64)
+        return np.subtract(self.threshold, value, dtype=np.float64)
 
     def satisfied_by(self, value: float) -> bool:
         """Whether a statistic value satisfies the query's constraint (strictly)."""
-        return self.margin(value) > 0.0
+        return bool(self.margin(value) > 0.0)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         comparator = ">" if self.direction == "above" else "<"

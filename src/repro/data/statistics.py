@@ -23,15 +23,13 @@ from repro.utils.registry import Registry
 class StatisticSpec(ABC):
     """Specification of a statistic computed over the points inside a region.
 
-    Two layers of API coexist here.  The dataset-level methods
-    (:meth:`compute`, :meth:`compute_batch`) are what most callers use.  The
-    array-level kernels (:meth:`compute_from_values`,
-    :meth:`compute_from_counts`, :meth:`compute_batch_from_arrays`) express the
-    same reductions over raw arrays so that :mod:`repro.backends` — which may
-    hold the data in a memory map, a SQLite table or a set of shards rather
-    than a :class:`Dataset` — can evaluate the statistic without one.  The
-    dataset-level methods are thin wrappers over the kernels, so the two
-    layers cannot drift apart.
+    The array-level kernels (:meth:`compute_from_values`,
+    :meth:`compute_from_counts`, :meth:`compute_batch_from_arrays`) are what
+    :mod:`repro.backends` evaluates, since a backend may hold the data in a
+    memory map, a SQLite table or a set of shards rather than a
+    :class:`Dataset`.  The dataset-level :meth:`compute` scores one region of
+    an in-memory dataset (the synthetic generators' ground truth) with the
+    same reduction.
     """
 
     #: Value reported for an empty region when the statistic needs data points.
@@ -62,19 +60,6 @@ class StatisticSpec(ABC):
     def compute(self, dataset: Dataset, mask: np.ndarray) -> float:
         """Compute the statistic over the rows of ``dataset`` selected by ``mask``."""
 
-    def compute_batch(self, dataset: Dataset, masks: np.ndarray) -> np.ndarray:
-        """Compute the statistic for every row of an ``(M, N)`` mask matrix.
-
-        The default implementation loops :meth:`compute` per mask row, so it
-        is bit-for-bit identical to scalar evaluation by construction;
-        subclasses override it with whole-batch array code only where the
-        result is provably identical (integer-valued reductions are exact in
-        float64 regardless of summation order, arbitrary float reductions are
-        not — see ``docs/architecture.md``).
-        """
-        masks = np.asarray(masks, dtype=bool)
-        return np.asarray([self.compute(dataset, mask) for mask in masks], dtype=np.float64)
-
     # ------------------------------------------------------------------ array-level kernels
     def target_position(self, dataset: Dataset) -> Optional[int]:
         """Column position of the measured attribute, or ``None`` for count-only stats."""
@@ -96,11 +81,14 @@ class StatisticSpec(ABC):
     def compute_batch_from_arrays(
         self, target: Optional[np.ndarray], masks: np.ndarray
     ) -> np.ndarray:
-        """Array-level twin of :meth:`compute_batch`: reduce an ``(M, N)`` mask matrix.
+        """Reduce every row of an ``(M, N)`` mask matrix to the region's statistic.
 
         ``target`` is the full measured-attribute column (``None`` for
         count-only statistics).  Default: one gather + :meth:`compute_from_values`
-        per mask row — bit-identical to the dataset-level loop.
+        per mask row, so it is bit-identical to :meth:`compute` per region;
+        subclasses vectorise it only where the result is provably identical
+        (integer-valued reductions are exact in float64 regardless of
+        summation order, arbitrary float reductions are not).
         """
         masks = np.asarray(masks, dtype=bool)
         if self.count_only:
@@ -143,12 +131,6 @@ class CountStatistic(StatisticSpec):
 
     def compute(self, dataset: Dataset, mask: np.ndarray) -> float:
         return float(np.count_nonzero(mask))
-
-    def compute_batch(self, dataset: Dataset, masks: np.ndarray) -> np.ndarray:
-        # Row counts are integers, so the vectorised sum is exactly the scalar
-        # count for every region.
-        masks = np.asarray(masks, dtype=bool)
-        return masks.sum(axis=1, dtype=np.int64).astype(np.float64)
 
     def compute_from_counts(self, counts: np.ndarray) -> np.ndarray:
         return np.asarray(counts, dtype=np.int64).astype(np.float64)
@@ -309,9 +291,6 @@ class RatioStatistic(_AttributeStatistic):
         if values.size == 0:
             return self.empty_value
         return float(np.mean(np.isclose(values, self.positive_value)))
-
-    def compute_batch(self, dataset: Dataset, masks: np.ndarray) -> np.ndarray:
-        return self.compute_batch_from_arrays(dataset.column(self.target_column), masks)
 
     def compute_batch_from_arrays(
         self, target: Optional[np.ndarray], masks: np.ndarray

@@ -23,10 +23,6 @@ class DimensionMismatchError(ValidationError):
     """Two objects that must share dimensionality do not."""
 
 
-class EmptyRegionError(ReproError, ValueError):
-    """A statistic that needs at least one data point was asked of an empty region."""
-
-
 class TimeoutExceededError(ReproError, RuntimeError):
     """A baseline algorithm exceeded its configured time budget."""
 

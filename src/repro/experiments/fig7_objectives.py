@@ -48,7 +48,7 @@ def run(
     for c in c_values:
         query = RegionQuery(threshold=threshold, direction="above", size_penalty=float(c))
         for kind in ("log", "ratio"):
-            objective = make_objective(kind, engine.evaluate_vector, query)
+            objective = make_objective(kind, engine.evaluate_batch, query)
             values = objective.evaluate_batch(grid)
             defined = np.isfinite(values)
             if np.any(defined):

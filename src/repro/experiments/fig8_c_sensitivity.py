@@ -41,7 +41,7 @@ def run(
     rows: List[Dict] = []
     for c in c_values:
         query = RegionQuery(threshold=threshold, direction="above", size_penalty=float(c))
-        objective = make_objective("log", engine.evaluate_vector, query)
+        objective = make_objective("log", engine.evaluate_batch, query)
         values = objective.evaluate_batch(solutions)
         defined = np.isfinite(values)
         if not np.any(defined):

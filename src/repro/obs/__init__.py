@@ -23,15 +23,7 @@ from repro.obs.runtime import (
     instrument_chain,
     register_kernel,
 )
-from repro.obs.tracing import (
-    NULL_SPAN,
-    Span,
-    TraceRecord,
-    Tracer,
-    current_span,
-    span,
-    use_span,
-)
+from repro.obs.tracing import Span, TraceRecord, Tracer
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -47,10 +39,6 @@ __all__ = [
     "instrument_chain",
     "register_kernel",
     "Span",
-    "NULL_SPAN",
     "TraceRecord",
     "Tracer",
-    "current_span",
-    "span",
-    "use_span",
 ]

@@ -210,9 +210,10 @@ class Observability:
 
 
 # --------------------------------------------------------------------------- batch recording
-#: Verdicts that consulted the cache and missed (timeouts/errors were
-#: classified as misses before their run failed — mirrors ``ServiceStats``).
-_MISS_STATUSES = frozenset({"served", "timeout", "error"})
+#: Verdicts that consulted the cache and missed (shed, timed-out and failed
+#: requests were classified as misses before admission dropped them or their
+#: run failed — mirrors ``ServiceStats.cache_misses``).
+_MISS_STATUSES = frozenset({"served", "shed", "timeout", "error"})
 
 
 class BatchRecorder:

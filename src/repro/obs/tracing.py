@@ -13,20 +13,15 @@ to any recent request.
 Records land in a :class:`Tracer`: a thread-safe, capacity-capped ring
 (oldest records evicted first — tracing must never grow without bound) plus
 an optional append-only JSONL file, one record per line, for offline
-analysis.  The :func:`span` context manager lets any code attach a custom
-child span to the active tree via a :class:`contextvars.ContextVar`; when no
-trace is active it yields a shared no-op span, so instrumented code costs one
-context-variable read when observability is off.
+analysis.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import threading
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ValidationError
 
@@ -98,76 +93,6 @@ class Span:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Span({self.name!r}, duration={self.duration_seconds:.6f}s)"
-
-
-class _NullSpan:
-    """Shared do-nothing span yielded when no trace is active."""
-
-    __slots__ = ()
-
-    def child(self, name, start=None, **attributes):
-        return self
-
-    def event(self, name, **attributes):
-        pass
-
-    def set_attribute(self, key, value):
-        pass
-
-    def finish(self, end=None):
-        pass
-
-    duration_seconds = 0.0
-
-
-NULL_SPAN = _NullSpan()
-
-_CURRENT_SPAN: contextvars.ContextVar[Optional[Span]] = contextvars.ContextVar(
-    "repro_obs_current_span", default=None
-)
-
-
-def current_span() -> Optional[Span]:
-    """The span the calling context is inside, or ``None``."""
-    return _CURRENT_SPAN.get()
-
-
-@contextmanager
-def use_span(span: Span) -> Iterator[Span]:
-    """Make ``span`` the active parent for :func:`span` calls in this context."""
-    token = _CURRENT_SPAN.set(span)
-    try:
-        yield span
-    finally:
-        _CURRENT_SPAN.reset(token)
-
-
-@contextmanager
-def span(name: str, **attributes) -> Iterator[Span]:
-    """Attach a timed child span to the active trace (no-op when none).
-
-    Usage::
-
-        with span("load-shapefile", path=str(path)):
-            ...
-
-    The child is finished on exit even if the body raises; the exception type
-    is recorded as an attribute before propagating.
-    """
-    parent = _CURRENT_SPAN.get()
-    if parent is None:
-        yield NULL_SPAN
-        return
-    node = parent.child(name, **attributes)
-    token = _CURRENT_SPAN.set(node)
-    try:
-        yield node
-    except BaseException as exc:
-        node.set_attribute("exception", type(exc).__name__)
-        raise
-    finally:
-        _CURRENT_SPAN.reset(token)
-        node.finish()
 
 
 class TraceRecord:
@@ -287,11 +212,6 @@ class Tracer:
                 self._records[trace_id] = entry
             return entry
 
-    def ids(self) -> List[str]:
-        """Trace ids currently retained, oldest first."""
-        with self._lock:
-            return list(self._records)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
@@ -305,10 +225,6 @@ class Tracer:
 
 __all__ = [
     "Span",
-    "NULL_SPAN",
     "TraceRecord",
     "Tracer",
-    "current_span",
-    "span",
-    "use_span",
 ]

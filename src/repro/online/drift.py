@@ -77,7 +77,6 @@ class DriftMonitor:
         self.min_observations = int(min_observations)
         self._baseline_rmse = float(baseline_rmse) if baseline_rmse is not None else None
         self._residuals: "deque[float]" = deque(maxlen=self.window)
-        self._total_observed = 0
 
     # ------------------------------------------------------------------ state
     @property
@@ -89,11 +88,6 @@ class DriftMonitor:
     def num_observations(self) -> int:
         """Residuals currently inside the rolling window."""
         return len(self._residuals)
-
-    @property
-    def total_observed(self) -> int:
-        """Residuals ever observed (including those rolled out of the window)."""
-        return self._total_observed
 
     # ------------------------------------------------------------------ feeding
     def observe(self, predictions, targets) -> None:
@@ -111,7 +105,6 @@ class DriftMonitor:
         residuals = predictions - targets
         for residual in residuals[np.isfinite(residuals)]:
             self._residuals.append(float(residual))
-            self._total_observed += 1
 
     def rebaseline(self, baseline_rmse: float) -> None:
         """Reset after a (re)fit: clear the window and install a new baseline."""

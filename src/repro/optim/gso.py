@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.optim.result import OptimizationResult
+from repro.optim.result import OptimizationResult, evaluate_swarm
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_array
 
@@ -134,16 +134,13 @@ class GlowwormSwarmOptimizer:
     Parameters
     ----------
     objective:
-        Callable mapping a solution vector (shape ``(D,)``) to a scalar fitness.
-        ``-inf`` / ``nan`` mark infeasible solutions.
+        Fitness of the whole swarm: maps the ``(L, D)`` positions to ``(L,)``
+        values, called once per iteration.  ``-inf`` / ``nan`` mark infeasible
+        solutions.
     lower_bounds / upper_bounds:
         Box constraints of the solution space (positions are clipped to stay inside).
     parameters:
         :class:`GSOParameters`; defaults are created if omitted.
-    batch_objective:
-        Optional vectorised fitness over a ``(L, D)`` matrix returning ``(L,)``
-        values.  Used in preference to ``objective`` for the per-iteration
-        swarm evaluation (a large speed-up for surrogate models).
     batch_selection_weight:
         Optional callable mapping the swarm's ``(L, D)`` positions to ``(L,)``
         non-negative weights, evaluated once per iteration; a candidate
@@ -163,17 +160,15 @@ class GlowwormSwarmOptimizer:
 
     def __init__(
         self,
-        objective: Callable[[np.ndarray], float],
+        objective: Callable[[np.ndarray], np.ndarray],
         lower_bounds: Sequence[float],
         upper_bounds: Sequence[float],
         parameters: Optional[GSOParameters] = None,
-        batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         batch_selection_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         initial_positions: Optional[np.ndarray] = None,
         profile_hook=None,
     ):
         self.objective = objective
-        self.batch_objective = batch_objective
         self.lower_bounds = check_array(lower_bounds, name="lower_bounds", ndim=1)
         self.upper_bounds = check_array(upper_bounds, name="upper_bounds", ndim=1)
         if self.lower_bounds.shape != self.upper_bounds.shape:
@@ -185,23 +180,8 @@ class GlowwormSwarmOptimizer:
         self.batch_selection_weight = batch_selection_weight
         self._initial_positions = initial_positions
         self.profile_hook = profile_hook
-        self._evaluations = 0
 
     # ------------------------------------------------------------------ helpers
-    def _evaluate(self, position: np.ndarray) -> float:
-        self._evaluations += 1
-        value = self.objective(position)
-        if value is None or np.isnan(value):
-            return -np.inf
-        return float(value)
-
-    def _evaluate_all(self, positions: np.ndarray) -> np.ndarray:
-        if self.batch_objective is not None:
-            self._evaluations += positions.shape[0]
-            values = np.asarray(self.batch_objective(positions), dtype=np.float64)
-            return np.where(np.isnan(values), -np.inf, values)
-        return np.asarray([self._evaluate(position) for position in positions])
-
     def _selection_weights(self, positions: np.ndarray) -> Optional[np.ndarray]:
         """Per-particle selection weights (Eq. 8), or ``None`` when not configured."""
         if self.batch_selection_weight is None:
@@ -361,7 +341,6 @@ class GlowwormSwarmOptimizer:
         """Execute the swarm and return the final particle population."""
         params = self.parameters
         rng = ensure_rng(params.random_state)
-        self._evaluations = 0
 
         extent = float(np.mean(self.upper_bounds - self.lower_bounds))
         step = params.step_size * extent
@@ -376,7 +355,7 @@ class GlowwormSwarmOptimizer:
         initial_positions = positions.copy()
         luciferin = np.full(params.num_particles, params.initial_luciferin)
         radii = np.full(params.num_particles, initial_radius)
-        fitness = self._evaluate_all(positions)
+        fitness = evaluate_swarm(self.objective, positions)
 
         mean_history: list[float] = []
         feasible_history: list[float] = []
@@ -400,7 +379,7 @@ class GlowwormSwarmOptimizer:
                 positions, luciferin, radii, fitness, rng, step, max_radius
             )
             positions = np.clip(new_positions, self.lower_bounds, self.upper_bounds)
-            fitness = self._evaluate_all(positions)
+            fitness = evaluate_swarm(self.objective, positions)
 
             finite = np.isfinite(fitness)
             mean_fitness = float(fitness[finite].mean()) if np.any(finite) else float("nan")
@@ -409,7 +388,9 @@ class GlowwormSwarmOptimizer:
             feasible_history.append(feasible_fraction)
 
             if hook is not None:
-                hook.on_iteration(iterations_done, self._evaluations, radii, fitness)
+                hook.on_iteration(
+                    iterations_done, params.num_particles * (iterations_done + 1), radii, fitness
+                )
 
             # Early stopping: neither the swarm's mean fitness nor the fraction of
             # feasible particles has improved for ``convergence_patience`` iterations.
@@ -437,6 +418,6 @@ class GlowwormSwarmOptimizer:
             feasible_fraction_history=feasible_history,
             num_iterations=iterations_done,
             converged=converged,
-            function_evaluations=self._evaluations,
+            function_evaluations=params.num_particles * (iterations_done + 1),
             elapsed_seconds=elapsed,
         )

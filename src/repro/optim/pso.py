@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.optim.result import OptimizationResult
+from repro.optim.result import OptimizationResult, evaluate_swarm
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_array
 
@@ -47,30 +47,23 @@ class ParticleSwarmOptimizer:
     Parameters
     ----------
     objective:
-        Callable mapping a solution vector (shape ``(D,)``) to a scalar fitness.
-        ``-inf`` / ``nan`` mark infeasible solutions.
+        Fitness of the whole swarm: maps the ``(L, D)`` positions to ``(L,)``
+        values, called once per iteration.  ``-inf`` / ``nan`` mark infeasible
+        solutions.
     lower_bounds / upper_bounds:
         Box constraints of the solution space (positions are clipped to stay inside).
     parameters:
         :class:`PSOParameters`; defaults are created if omitted.
-    batch_objective:
-        Optional vectorised fitness over a ``(L, D)`` matrix returning ``(L,)``
-        values.  Used in preference to ``objective`` for the per-iteration
-        swarm evaluation; the velocity/position updates were already
-        whole-swarm array operations, so with a batch objective no per-particle
-        Python work remains in the loop.
     """
 
     def __init__(
         self,
-        objective: Callable[[np.ndarray], float],
+        objective: Callable[[np.ndarray], np.ndarray],
         lower_bounds: Sequence[float],
         upper_bounds: Sequence[float],
         parameters: Optional[PSOParameters] = None,
-        batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         self.objective = objective
-        self.batch_objective = batch_objective
         self.lower_bounds = check_array(lower_bounds, name="lower_bounds", ndim=1)
         self.upper_bounds = check_array(upper_bounds, name="upper_bounds", ndim=1)
         if self.lower_bounds.shape != self.upper_bounds.shape:
@@ -79,34 +72,18 @@ class ParticleSwarmOptimizer:
             raise ValidationError("upper_bounds must exceed lower_bounds in every dimension")
         self.dim = self.lower_bounds.shape[0]
         self.parameters = parameters or PSOParameters()
-        self._evaluations = 0
-
-    def _evaluate(self, position: np.ndarray) -> float:
-        self._evaluations += 1
-        value = self.objective(position)
-        if value is None or np.isnan(value):
-            return -np.inf
-        return float(value)
-
-    def _evaluate_all(self, positions: np.ndarray) -> np.ndarray:
-        if self.batch_objective is not None:
-            self._evaluations += positions.shape[0]
-            values = np.asarray(self.batch_objective(positions), dtype=np.float64)
-            return np.where(np.isnan(values), -np.inf, values)
-        return np.asarray([self._evaluate(position) for position in positions])
 
     def run(self) -> OptimizationResult:
         """Execute the swarm and return the final population (global best is ``result.best()``)."""
         params = self.parameters
         rng = ensure_rng(params.random_state)
-        self._evaluations = 0
 
         extent = self.upper_bounds - self.lower_bounds
         positions = rng.uniform(self.lower_bounds, self.upper_bounds, size=(params.num_particles, self.dim))
         initial_positions = positions.copy()
         velocities = rng.uniform(-0.1, 0.1, size=positions.shape) * extent
 
-        fitness = self._evaluate_all(positions)
+        fitness = evaluate_swarm(self.objective, positions)
         personal_best = positions.copy()
         personal_best_fitness = fitness.copy()
         global_idx = int(np.argmax(np.where(np.isfinite(fitness), fitness, -np.inf)))
@@ -131,7 +108,7 @@ class ParticleSwarmOptimizer:
                 + params.social * r2 * (global_best - positions)
             )
             positions = np.clip(positions + velocities, self.lower_bounds, self.upper_bounds)
-            fitness = self._evaluate_all(positions)
+            fitness = evaluate_swarm(self.objective, positions)
 
             improved = fitness > personal_best_fitness
             personal_best[improved] = positions[improved]
@@ -164,6 +141,6 @@ class ParticleSwarmOptimizer:
             feasible_fraction_history=feasible_history,
             num_iterations=iterations_done,
             converged=converged,
-            function_evaluations=self._evaluations,
+            function_evaluations=params.num_particles * (iterations_done + 1),
             elapsed_seconds=elapsed,
         )

@@ -1,11 +1,23 @@
-"""Result containers for the swarm optimisers."""
+"""The result container and the shared fitness evaluation of the swarm optimisers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
+
+from repro.utils.validation import check_batch_values
+
+
+def evaluate_swarm(objective: Callable[[np.ndarray], np.ndarray], positions: np.ndarray) -> np.ndarray:
+    """Fitness of every particle from one ``objective`` call over the ``(L, D)`` positions.
+
+    The objective must return shape ``(L,)``; ``NaN`` fitness reads as ``-inf``
+    (infeasible).
+    """
+    values = check_batch_values(objective(positions), positions.shape[0], name="objective")
+    return np.where(np.isnan(values), -np.inf, values)
 
 
 @dataclass

@@ -47,6 +47,21 @@ def check_array(
     return array
 
 
+def check_batch_values(values, rows: int, *, name: str) -> np.ndarray:
+    """``values`` as float64, checked to hold one value per row of a ``rows``-row batch.
+
+    Objectives and swarms call their callables once on a whole matrix.  A
+    per-vector callable handed one returns a 0-d value that would broadcast
+    silently, so the shape is checked instead of trusted.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (rows,):
+        raise ValidationError(
+            f"{name} must return shape ({rows},) for a batch of {rows} rows, got shape {values.shape}"
+        )
+    return values
+
+
 def canonical_float(value, *, significant_digits: int = 12) -> float:
     """Round a scalar to ``significant_digits`` decimal digits of precision.
 

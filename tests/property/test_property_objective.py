@@ -11,9 +11,19 @@ finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinit
 positive_half = st.floats(min_value=1e-3, max_value=0.5, allow_nan=False, allow_infinity=False)
 
 
-def volume_statistic(vector: np.ndarray) -> float:
-    dim = vector.size // 2
-    return float(np.prod(2 * vector[dim:]) * 1000.0)
+def volume_statistic(vectors: np.ndarray) -> np.ndarray:
+    dim = vectors.shape[1] // 2
+    return np.prod(2 * vectors[:, dim:], axis=1) * 1000.0
+
+
+def score(objective, vector: np.ndarray) -> float:
+    """The objective value of a single ``[x, l]`` vector, as a one-row batch."""
+    return float(objective.evaluate_batch(vector[None, :])[0])
+
+
+def margin(objective, vector: np.ndarray) -> float:
+    """The constraint slack of a single ``[x, l]`` vector (positive = feasible)."""
+    return float(objective.query.margin(objective.statistic(vector[None, :])[0]))
 
 
 @st.composite
@@ -42,8 +52,8 @@ def test_exactly_threshold_is_never_satisfied(threshold):
 def test_log_objective_finite_iff_feasible(vector, c):
     query = RegionQuery(threshold=100.0, direction="above", size_penalty=c)
     objective = LogObjective(volume_statistic, query)
-    value = objective(vector)
-    if objective.is_feasible(vector):
+    value = score(objective, vector)
+    if margin(objective, vector) > 0:
         assert np.isfinite(value)
     else:
         assert value == -np.inf
@@ -54,28 +64,30 @@ def test_log_objective_monotone_in_threshold(vector):
     # A lower threshold leaves a larger margin, so the objective can only increase.
     low = LogObjective(volume_statistic, RegionQuery(threshold=10.0, direction="above", size_penalty=2.0))
     high = LogObjective(volume_statistic, RegionQuery(threshold=200.0, direction="above", size_penalty=2.0))
-    assert low(vector) >= high(vector)
+    assert score(low, vector) >= score(high, vector)
 
 
-@given(solution_vector(), st.floats(min_value=0.5, max_value=4.0))
-def test_log_objective_batch_matches_scalar(vector, c):
+@given(
+    st.lists(solution_vector(), min_size=1, max_size=8),
+    st.data(),
+    st.floats(min_value=0.5, max_value=4.0),
+    st.sampled_from([LogObjective, RatioObjective]),
+)
+def test_objective_scores_a_row_alone_as_in_a_batch(vectors, data, c, objective_cls):
     query = RegionQuery(threshold=50.0, direction="above", size_penalty=c)
-    objective = LogObjective(volume_statistic, query)
-    batch_value = objective.evaluate_batch(vector.reshape(1, -1))[0]
-    scalar_value = objective(vector)
-    if np.isfinite(scalar_value):
-        assert batch_value == pytest.approx(scalar_value)
-    else:
-        assert batch_value == -np.inf
+    objective = objective_cls(volume_statistic, query)
+    batch = np.stack(vectors)
+    row = data.draw(st.integers(min_value=0, max_value=len(vectors) - 1))
+    assert objective.evaluate_batch(batch)[row] == score(objective, batch[row])
 
 
 @given(solution_vector(), st.floats(min_value=0.5, max_value=4.0))
 def test_ratio_objective_sign_tracks_feasibility(vector, c):
     query = RegionQuery(threshold=100.0, direction="above", size_penalty=c)
     objective = RatioObjective(volume_statistic, query)
-    value = objective(vector)
+    value = score(objective, vector)
     assert np.isfinite(value)
-    if objective.is_feasible(vector):
+    if margin(objective, vector) > 0:
         assert value > 0
     else:
         assert value <= 0
@@ -88,11 +100,11 @@ def test_shrinking_a_feasible_region_increases_log_objective(vector):
     dim = vector.size // 2
     shrunk = vector.copy()
     shrunk[dim:] = shrunk[dim:] * 0.9
-    assume(objective.is_feasible(shrunk))
-    assume(objective.is_feasible(vector))
+    assume(margin(objective, shrunk) > 0)
+    assume(margin(objective, vector) > 0)
     # Right at the feasibility boundary the log-margin loss can exceed the
     # size-penalty gain (-c * d * log(0.9) ≈ 0.843 here), so restrict to
     # regions whose margin survives the shrink by at least half: then
     # log(m / m') <= log 2 < 0.843 and the penalty term dominates for c=4.
-    assume(objective.margin(shrunk) >= 0.5 * objective.margin(vector))
-    assert objective(shrunk) >= objective(vector)
+    assume(margin(objective, shrunk) >= 0.5 * margin(objective, vector))
+    assert score(objective, shrunk) >= score(objective, vector)

@@ -14,8 +14,12 @@ from repro.exceptions import ValidationError
 from repro.optim.result import OptimizationResult
 
 
-def constant_statistic(vector: np.ndarray) -> float:
-    return 50.0
+def constant_statistic(vectors: np.ndarray) -> np.ndarray:
+    return np.full(vectors.shape[0], 50.0)
+
+
+def center_statistic(vectors: np.ndarray) -> np.ndarray:
+    return 100.0 * vectors[:, 0]
 
 
 def make_result(vectors, fitness):
@@ -35,7 +39,7 @@ def simple_objective():
 class TestProposalsFromResult:
     def test_infeasible_particles_are_dropped(self, simple_objective):
         result = make_result([[0.5, 0.5, 0.1, 0.1]], [-np.inf])
-        assert proposals_from_result(result, simple_objective, constant_statistic) == []
+        assert proposals_from_result(result, simple_objective) == []
 
     def test_overlapping_particles_merge_into_one_proposal(self, simple_objective):
         vectors = [
@@ -44,7 +48,7 @@ class TestProposalsFromResult:
             [0.5, 0.49, 0.1, 0.1],
         ]
         result = make_result(vectors, [3.0, 2.0, 1.0])
-        proposals = proposals_from_result(result, simple_objective, constant_statistic, overlap_threshold=0.3)
+        proposals = proposals_from_result(result, simple_objective, overlap_threshold=0.3)
         assert len(proposals) == 1
         assert proposals[0].support == 3
 
@@ -54,7 +58,7 @@ class TestProposalsFromResult:
             [0.8, 0.8, 0.05, 0.05],
         ]
         result = make_result(vectors, [2.0, 1.0])
-        proposals = proposals_from_result(result, simple_objective, constant_statistic)
+        proposals = proposals_from_result(result, simple_objective)
         assert len(proposals) == 2
 
     def test_proposals_sorted_by_objective(self, simple_objective):
@@ -63,15 +67,13 @@ class TestProposalsFromResult:
             [0.8, 0.8, 0.05, 0.05],
         ]
         result = make_result(vectors, [1.0, 5.0])
-        proposals = proposals_from_result(result, simple_objective, constant_statistic)
+        proposals = proposals_from_result(result, simple_objective)
         assert proposals[0].objective_value >= proposals[1].objective_value
 
     def test_max_proposals_limits_output(self, simple_objective):
         vectors = [[0.1 * i + 0.05, 0.5, 0.02, 0.02] for i in range(8)]
         result = make_result(vectors, list(range(8)))
-        proposals = proposals_from_result(
-            result, simple_objective, constant_statistic, max_proposals=3
-        )
+        proposals = proposals_from_result(result, simple_objective, max_proposals=3)
         assert len(proposals) == 3
 
     def test_min_support_filters_singletons(self, simple_objective):
@@ -82,22 +84,25 @@ class TestProposalsFromResult:
         ]
         result = make_result(vectors, [3.0, 2.0, 1.0])
         proposals = proposals_from_result(
-            result, simple_objective, constant_statistic, overlap_threshold=0.3, min_support=2
+            result, simple_objective, overlap_threshold=0.3, min_support=2
         )
         assert len(proposals) == 1
         assert proposals[0].support == 2
 
-    def test_predicted_value_comes_from_predictor(self, simple_objective):
+    def test_predicted_value_comes_from_predictor(self):
+        objective = LogObjective(
+            lambda vectors: np.full(vectors.shape[0], 123.0), RegionQuery(threshold=10.0)
+        )
         result = make_result([[0.5, 0.5, 0.1, 0.1]], [1.0])
-        proposals = proposals_from_result(result, simple_objective, lambda v: 123.0)
+        proposals = proposals_from_result(result, objective)
         assert proposals[0].predicted_value == pytest.approx(123.0)
 
     def test_invalid_parameters_rejected(self, simple_objective):
         result = make_result([[0.5, 0.5, 0.1, 0.1]], [1.0])
         with pytest.raises(ValidationError):
-            proposals_from_result(result, simple_objective, constant_statistic, overlap_threshold=1.5)
+            proposals_from_result(result, simple_objective, overlap_threshold=1.5)
         with pytest.raises(ValidationError):
-            proposals_from_result(result, simple_objective, constant_statistic, min_support=0)
+            proposals_from_result(result, simple_objective, min_support=0)
 
     def test_proposal_vector_round_trip(self):
         region = Region([0.4, 0.6], [0.1, 0.2])
@@ -109,14 +114,8 @@ class TestProposalsFromResult:
         # the max-margin *member's* region, so objective_value did not
         # correspond to region.  The representative's objective must be
         # re-evaluated for the vector actually reported.
-        def center_statistic(vector):
-            return float(100.0 * vector[0])
-
-        def batch_center_statistic(vectors):
-            return 100.0 * vectors[:, 0]
-
         query = RegionQuery(threshold=10.0, direction="above")
-        objective = LogObjective(center_statistic, query, batch_center_statistic)
+        objective = LogObjective(center_statistic, query)
         # Two overlapping particles: index 0 gets the (fake) higher swarm
         # fitness and seeds the cluster, index 1 has the larger predicted
         # margin and becomes the representative.
@@ -127,20 +126,15 @@ class TestProposalsFromResult:
             ]
         )
         result = make_result(vectors, [99.0, 1.0])
-        proposals = proposals_from_result(
-            result, objective, center_statistic, overlap_threshold=0.3
-        )
+        proposals = proposals_from_result(result, objective, overlap_threshold=0.3)
         assert len(proposals) == 1
         proposal = proposals[0]
         np.testing.assert_allclose(proposal.vector, vectors[1])
         assert proposal.predicted_value == pytest.approx(52.0)
-        assert proposal.objective_value == pytest.approx(objective(vectors[1]))
+        assert proposal.objective_value == pytest.approx(objective.evaluate_batch(vectors[1:])[0])
         assert proposal.objective_value != pytest.approx(99.0)
 
     def test_proposals_sorted_by_recomputed_objective(self):
-        def center_statistic(vector):
-            return float(100.0 * vector[0])
-
         query = RegionQuery(threshold=10.0, direction="above")
         objective = LogObjective(center_statistic, query)
         # Swarm fitness order (fake) disagrees with the true objective order;
@@ -152,7 +146,7 @@ class TestProposalsFromResult:
             ]
         )
         result = make_result(vectors, [50.0, 1.0])
-        proposals = proposals_from_result(result, objective, center_statistic)
+        proposals = proposals_from_result(result, objective)
         assert len(proposals) == 2
         assert proposals[0].objective_value >= proposals[1].objective_value
         assert proposals[0].predicted_value == pytest.approx(90.0)

@@ -9,16 +9,21 @@ from repro.data.regions import Region
 from repro.exceptions import ValidationError
 
 
-def linear_statistic(vector: np.ndarray) -> float:
+def linear_statistic(vectors: np.ndarray) -> np.ndarray:
     """A simple synthetic statistic: count proportional to region volume ×1000."""
-    dim = vector.size // 2
-    half = vector[dim:]
-    return float(np.prod(2 * half) * 1000.0)
-
-
-def batch_linear_statistic(vectors: np.ndarray) -> np.ndarray:
     dim = vectors.shape[1] // 2
     return np.prod(2 * vectors[:, dim:], axis=1) * 1000.0
+
+
+def per_vector_statistic(vector: np.ndarray) -> float:
+    """The old per-vector contract: one scalar statistic for one ``[x, l]`` vector."""
+    dim = vector.size // 2
+    return float(np.prod(2 * vector[dim:]) * 1000.0)
+
+
+def score(objective, vector) -> float:
+    """The objective value of a single ``[x, l]`` vector, as a one-row batch."""
+    return float(objective.evaluate_batch(np.asarray(vector, dtype=np.float64)[None, :])[0])
 
 
 class TestRegionQuery:
@@ -26,11 +31,13 @@ class TestRegionQuery:
         query = RegionQuery(threshold=10.0, direction="above")
         assert query.margin(15.0) == pytest.approx(5.0)
         assert query.margin(5.0) == pytest.approx(-5.0)
+        np.testing.assert_array_equal(query.margin(np.array([15.0, 5.0])), [5.0, -5.0])
 
     def test_margin_below(self):
         query = RegionQuery(threshold=10.0, direction="below")
         assert query.margin(5.0) == pytest.approx(5.0)
         assert query.margin(15.0) == pytest.approx(-5.0)
+        np.testing.assert_array_equal(query.margin(np.array([5.0, 15.0])), [5.0, -5.0])
 
     def test_satisfied_by_is_strict(self):
         query = RegionQuery(threshold=10.0, direction="above")
@@ -116,32 +123,34 @@ class TestLogObjective:
         objective = LogObjective(linear_statistic, query)
         vector = np.array([0.5, 0.5, 0.3, 0.3])  # volume 0.36 -> statistic 360
         expected = np.log(360.0 - 100.0) - 2.0 * (np.log(0.3) + np.log(0.3))
-        assert objective(vector) == pytest.approx(expected)
+        assert score(objective, vector) == pytest.approx(expected)
 
     def test_infeasible_region_is_minus_inf(self):
         query = RegionQuery(threshold=100.0, direction="above")
         objective = LogObjective(linear_statistic, query)
         tiny = np.array([0.5, 0.5, 0.01, 0.01])
-        assert objective(tiny) == -np.inf
+        assert score(objective, tiny) == -np.inf
 
     def test_below_direction(self):
         query = RegionQuery(threshold=100.0, direction="below", size_penalty=1.0)
         objective = LogObjective(linear_statistic, query)
         tiny = np.array([0.5, 0.5, 0.01, 0.01])  # statistic 0.4 < 100 -> feasible
-        assert np.isfinite(objective(tiny))
+        assert np.isfinite(score(objective, tiny))
         big = np.array([0.5, 0.5, 0.4, 0.4])  # statistic 640 > 100 -> infeasible
-        assert objective(big) == -np.inf
+        assert score(objective, big) == -np.inf
 
     def test_smaller_regions_score_higher_when_feasible(self):
         query = RegionQuery(threshold=10.0, direction="above", size_penalty=4.0)
         objective = LogObjective(linear_statistic, query)
-        small = objective(np.array([0.5, 0.5, 0.2, 0.2]))
-        large = objective(np.array([0.5, 0.5, 0.4, 0.4]))
+        small, large = objective.evaluate_batch(
+            np.array([[0.5, 0.5, 0.2, 0.2], [0.5, 0.5, 0.4, 0.4]])
+        )
         assert small > large
 
     def test_batch_matches_scalar(self):
+        """Each row of a batch scores exactly what it scores alone."""
         query = RegionQuery(threshold=100.0, direction="above", size_penalty=3.0)
-        objective = LogObjective(linear_statistic, query, batch_linear_statistic)
+        objective = LogObjective(linear_statistic, query)
         vectors = np.array(
             [
                 [0.5, 0.5, 0.3, 0.3],
@@ -150,34 +159,21 @@ class TestLogObjective:
             ]
         )
         batch = objective.evaluate_batch(vectors)
-        singles = np.array([objective(vector) for vector in vectors])
-        np.testing.assert_allclose(batch, singles)
+        singles = np.array([score(objective, vector) for vector in vectors])
+        np.testing.assert_array_equal(batch, singles)
 
-    def test_batch_without_batch_fn_falls_back_to_loop(self):
+    def test_per_vector_statistic_is_rejected(self):
         query = RegionQuery(threshold=100.0, direction="above")
-        objective = LogObjective(linear_statistic, query)
+        objective = LogObjective(per_vector_statistic, query)
         vectors = np.array([[0.5, 0.5, 0.3, 0.3], [0.5, 0.5, 0.2, 0.2]])
-        np.testing.assert_allclose(
-            objective.evaluate_batch(vectors), [objective(v) for v in vectors]
-        )
-
-    def test_is_feasible_helper(self):
-        query = RegionQuery(threshold=100.0, direction="above")
-        objective = LogObjective(linear_statistic, query)
-        assert objective.is_feasible(np.array([0.5, 0.5, 0.3, 0.3]))
-        assert not objective.is_feasible(np.array([0.5, 0.5, 0.01, 0.01]))
-
-    def test_evaluate_region_matches_vector(self):
-        query = RegionQuery(threshold=100.0, direction="above")
-        objective = LogObjective(linear_statistic, query)
-        region = Region([0.5, 0.5], [0.3, 0.3])
-        assert objective.evaluate_region(region) == pytest.approx(objective(region.to_vector()))
+        with pytest.raises(ValidationError, match=r"shape \(2,\).*got shape \(\)"):
+            objective.evaluate_batch(vectors)
 
     def test_invalid_vector_shapes_rejected(self):
         query = RegionQuery(threshold=1.0)
         objective = LogObjective(linear_statistic, query)
         with pytest.raises(ValidationError):
-            objective(np.array([0.1, 0.2, 0.3]))
+            objective.evaluate_batch(np.array([0.1, 0.2, 0.3, 0.4]))
         with pytest.raises(ValidationError):
             objective.evaluate_batch(np.ones((2, 3)))
 
@@ -188,34 +184,34 @@ class TestRatioObjective:
         objective = RatioObjective(linear_statistic, query)
         vector = np.array([0.5, 0.5, 0.3, 0.3])
         expected = (360.0 - 100.0) / (0.3 * 0.3) ** 2.0
-        assert objective(vector) == pytest.approx(expected)
+        assert score(objective, vector) == pytest.approx(expected)
 
     def test_defined_but_negative_for_infeasible_regions(self):
         query = RegionQuery(threshold=100.0, direction="above", size_penalty=1.0)
         objective = RatioObjective(linear_statistic, query)
         tiny = np.array([0.5, 0.5, 0.01, 0.01])
-        value = objective(tiny)
+        value = score(objective, tiny)
         assert np.isfinite(value)
         assert value < 0
 
     def test_batch_matches_scalar(self):
+        """Each row of a batch scores exactly what it scores alone."""
         query = RegionQuery(threshold=50.0, direction="above", size_penalty=2.0)
-        objective = RatioObjective(linear_statistic, query, batch_linear_statistic)
+        objective = RatioObjective(linear_statistic, query)
         vectors = np.array([[0.5, 0.5, 0.3, 0.3], [0.5, 0.5, 0.05, 0.05]])
-        np.testing.assert_allclose(
-            objective.evaluate_batch(vectors), [objective(v) for v in vectors]
+        np.testing.assert_array_equal(
+            objective.evaluate_batch(vectors), [score(objective, v) for v in vectors]
         )
 
     def test_batch_negative_half_lengths_warn_free(self):
         # Regression: the batch path exponentiated every row's volume before
         # masking, so negative half lengths under a fractional size penalty
         # raised "invalid value encountered in power" and produced transient
-        # NaNs.  The volume term must only be computed on valid rows, like the
-        # scalar path, which checks first.
+        # NaNs.  The volume term must only be computed on valid rows.
         import warnings
 
         query = RegionQuery(threshold=50.0, direction="above", size_penalty=2.5)
-        objective = RatioObjective(linear_statistic, query, batch_linear_statistic)
+        objective = RatioObjective(linear_statistic, query)
         vectors = np.array(
             [
                 [0.5, 0.5, 0.3, 0.3],
@@ -233,7 +229,7 @@ class TestRatioObjective:
 
     def test_batch_all_rows_invalid_returns_minus_inf(self):
         query = RegionQuery(threshold=50.0, direction="above", size_penalty=2.5)
-        objective = RatioObjective(linear_statistic, query, batch_linear_statistic)
+        objective = RatioObjective(linear_statistic, query)
         vectors = np.array([[0.5, 0.5, -0.1, 0.3], [0.5, 0.5, 0.0, 0.3]])
         np.testing.assert_array_equal(objective.evaluate_batch(vectors), [-np.inf, -np.inf])
 

@@ -10,6 +10,7 @@ lengths), and the front-door surfacing (``GET /metrics`` Prometheus text,
 
 import asyncio
 import copy
+import dataclasses
 import json
 import threading
 import time
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from repro.api import (
+    AdmissionControl,
     AsgiApp,
     Deadline,
     FindRequest,
@@ -34,10 +36,7 @@ from repro.obs import (
     Span,
     Trace,
     Tracer,
-    current_span,
     parse_prometheus_text,
-    span,
-    use_span,
 )
 
 
@@ -169,32 +168,6 @@ class TestMetricsRegistry:
 
 # =========================================================================== tracing
 class TestTracing:
-    def test_span_context_managers_nest(self):
-        root = Span("request", start=0.0)
-        with use_span(root):
-            assert current_span() is root
-            with span("child") as child:
-                assert child.name == "child"
-                with span("grandchild"):
-                    pass
-        assert [c.name for c in root.children] == ["child"]
-        assert [c.name for c in root.children[0].children] == ["grandchild"]
-        assert root.children[0].duration_seconds >= 0.0
-
-    def test_span_without_parent_is_a_null_span(self):
-        with span("orphan") as orphan:
-            orphan.set_attribute("ignored", 1)  # must not raise
-        assert current_span() is None
-
-    def test_span_records_exceptions(self):
-        root = Span("request", start=0.0)
-        with use_span(root):
-            with pytest.raises(RuntimeError):
-                with span("boom"):
-                    raise RuntimeError("bad")
-        (child,) = root.children
-        assert "RuntimeError" in child.attributes["exception"]
-
     def test_to_dict_reports_offsets_relative_to_origin(self):
         root = Span("request", start=100.0)
         child = root.child("stage", start=100.5)
@@ -463,6 +436,28 @@ class TestMetricsUnderConcurrency:
         assert parsed["repro_requests_total"]['{model="flaky",verdict="error"}'] == 1.0
         assert parsed["repro_requests_total"]['{model="stalled",verdict="timeout"}'] == 1.0
         assert obs.tracer.get(response.trace_id).status == "timeout"
+
+    def test_shed_requests_count_as_cache_misses(self, fitted_surf, density_query):
+        obs = Observability()
+        kernel = ServiceKernel(
+            fitted_surf,
+            name="shedding",
+            middleware=production_chain(
+                admission=AdmissionControl(max_inflight=1, max_queue=0), observability=obs
+            ),
+        )
+        queries = [
+            dataclasses.replace(density_query, threshold=density_query.threshold * scale)
+            for scale in (1.0, 0.9, 0.8)
+        ]
+        responses = kernel.handle_batch(
+            [FindRequest.from_query(query, model="shedding") for query in queries]
+        )
+        assert sorted(response.status for response in responses) == ["served", "shed", "shed"]
+        parsed = parse_prometheus_text(obs.metrics.render())
+        misses = parsed["repro_cache_requests_total"]['{model="shedding",outcome="miss"}']
+        stats = parsed["repro_service_stats"]['{model="shedding",counter="cache_misses"}']
+        assert misses == stats == 3.0
 
 
 # =========================================================================== gso profiling

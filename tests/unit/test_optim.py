@@ -9,23 +9,26 @@ from repro.optim.pso import ParticleSwarmOptimizer, PSOParameters
 from repro.optim.result import OptimizationResult
 
 
-def single_peak(vector: np.ndarray) -> float:
+def single_peak(positions: np.ndarray) -> np.ndarray:
     """A smooth unimodal objective peaking at (0.5, 0.5)."""
-    return -float(np.sum((vector - 0.5) ** 2))
+    return -np.sum((positions - 0.5) ** 2, axis=1)
 
 
-def two_peaks(vector: np.ndarray) -> float:
+def two_peaks(positions: np.ndarray) -> np.ndarray:
     """A bimodal 1-D objective with peaks at 0.25 and 0.75."""
-    x = float(vector[0])
-    return float(np.exp(-200 * (x - 0.25) ** 2) + np.exp(-200 * (x - 0.75) ** 2))
+    x = positions[:, 0]
+    return np.exp(-200 * (x - 0.25) ** 2) + np.exp(-200 * (x - 0.75) ** 2)
 
 
-def gated(vector: np.ndarray) -> float:
+def gated(positions: np.ndarray) -> np.ndarray:
     """An objective undefined (−inf) outside a narrow feasible band."""
-    x = float(vector[0])
-    if abs(x - 0.6) > 0.15:
-        return -np.inf
-    return 1.0 - abs(x - 0.6)
+    distance = np.abs(positions[:, 0] - 0.6)
+    return np.where(distance > 0.15, -np.inf, 1.0 - distance)
+
+
+def per_vector_peak(vector: np.ndarray) -> float:
+    """The old per-vector contract: one scalar fitness for one position."""
+    return -float(np.sum((vector - 0.5) ** 2))
 
 
 class TestGSOParameters:
@@ -113,18 +116,11 @@ class TestGSO:
         best = result.best()
         assert abs(best[0] - 0.6) < 0.2
 
-    def test_batch_objective_matches_scalar(self):
+    def test_per_vector_objective_is_rejected(self):
         params = GSOParameters(num_particles=25, num_iterations=20, random_state=4)
-        scalar = GlowwormSwarmOptimizer(single_peak, [0.0, 0.0], [1.0, 1.0], params).run()
-        params2 = GSOParameters(num_particles=25, num_iterations=20, random_state=4)
-        batch = GlowwormSwarmOptimizer(
-            single_peak,
-            [0.0, 0.0],
-            [1.0, 1.0],
-            params2,
-            batch_objective=lambda m: -np.sum((m - 0.5) ** 2, axis=1),
-        ).run()
-        np.testing.assert_allclose(scalar.positions, batch.positions, atol=1e-12)
+        optimizer = GlowwormSwarmOptimizer(per_vector_peak, [0.0, 0.0], [1.0, 1.0], params)
+        with pytest.raises(ValidationError, match=r"shape \(25,\).*got shape \(\)"):
+            optimizer.run()
 
     def test_selection_weight_biases_towards_weighted_mode(self):
         # Weight the neighbourhood around x=0.75 much higher than x=0.25.
@@ -204,6 +200,12 @@ class TestPSO:
         result = ParticleSwarmOptimizer(single_peak, [0.1, 0.1], [0.9, 0.9], params).run()
         assert np.all(result.positions >= 0.1 - 1e-9)
         assert np.all(result.positions <= 0.9 + 1e-9)
+
+    def test_per_vector_objective_is_rejected(self):
+        params = PSOParameters(num_particles=20, num_iterations=30, random_state=1)
+        optimizer = ParticleSwarmOptimizer(per_vector_peak, [0.0, 0.0], [1.0, 1.0], params)
+        with pytest.raises(ValidationError, match=r"shape \(20,\).*got shape \(\)"):
+            optimizer.run()
 
     def test_collapses_to_one_mode_on_multimodal_objective(self):
         params = PSOParameters(num_particles=40, num_iterations=80, random_state=2)

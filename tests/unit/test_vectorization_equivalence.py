@@ -1,17 +1,18 @@
 """Equivalence tests for the vectorised hot paths.
 
-The vectorised GSO movement kernel, the batched PSO evaluation and the
-engine's ``evaluate_batch`` are all required to produce *identical* results to
-their per-particle / per-region counterparts — same RNG draw order, same
-floating-point decisions, bit for bit.  These tests pin that contract,
-including the edge cases the ISSUE calls out: all-infeasible swarms and
-isolated particles.
+The vectorised GSO movement kernel and the engine's ``evaluate_batch`` are
+required to produce *identical* results to their per-particle / per-region
+counterparts — same RNG draw order, same floating-point decisions, bit for
+bit.  These tests pin that contract, including the edge cases: all-infeasible
+swarms and isolated particles.
 """
 
 import numpy as np
 import pytest
 from gso_reference import ReferenceGlowwormSwarmOptimizer
 
+from repro.core.objective import LogObjective
+from repro.core.query import RegionQuery
 from repro.data.engine import DataEngine
 from repro.data.regions import Region, random_region
 from repro.data.statistics import AverageStatistic, CountStatistic, RatioStatistic
@@ -20,24 +21,24 @@ from repro.optim.gso import GlowwormSwarmOptimizer, GSOParameters
 from repro.optim.pso import ParticleSwarmOptimizer, PSOParameters
 
 
-def sphere(vector: np.ndarray) -> float:
-    return -float(np.sum((vector - 0.5) ** 2))
+def sphere(positions: np.ndarray) -> np.ndarray:
+    return -np.sum((positions - 0.5) ** 2, axis=1)
 
 
-def sphere_batch(matrix: np.ndarray) -> np.ndarray:
-    return -np.sum((matrix - 0.5) ** 2, axis=1)
-
-
-def gated(vector: np.ndarray) -> float:
+def gated(positions: np.ndarray) -> np.ndarray:
     """Feasible only in a narrow band, so most particles start infeasible."""
-    x = float(vector[0])
-    if abs(x - 0.6) > 0.05:
-        return -np.inf
-    return 1.0 - abs(x - 0.6)
+    distance = np.abs(positions[:, 0] - 0.6)
+    return np.where(distance > 0.05, -np.inf, 1.0 - distance)
 
 
-def infeasible_everywhere(vector: np.ndarray) -> float:
-    return -np.inf
+def infeasible_everywhere(positions: np.ndarray) -> np.ndarray:
+    return np.full(positions.shape[0], -np.inf)
+
+
+def volume_statistic(vectors: np.ndarray) -> np.ndarray:
+    """A count proportional to region volume, over ``[x, l]`` rows."""
+    dim = vectors.shape[1] // 2
+    return np.prod(2 * vectors[:, dim:], axis=1) * 1000.0
 
 
 #: The optimiser class behind each movement implementation.
@@ -130,33 +131,19 @@ class TestGSOMovementEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batch_objective(self, seed):
-        reference = run_gso("reference", sphere, 2, seed, batch_objective=sphere_batch)
-        vectorized = run_gso("vectorized", sphere, 2, seed, batch_objective=sphere_batch)
+        """A region objective (Eq. 4 over a 2-D region space) drives both movements."""
+        query = RegionQuery(threshold=50.0, direction="above", size_penalty=2.0)
+        objective = LogObjective(volume_statistic, query).evaluate_batch
+        reference = run_gso("reference", objective, 4, seed)
+        vectorized = run_gso("vectorized", objective, 4, seed)
         assert_identical_runs(reference, vectorized)
 
 
 class TestPSOBatchEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batch_objective_matches_scalar_exactly(self, seed):
-        params = PSOParameters(num_particles=30, num_iterations=40, random_state=seed)
-        scalar = ParticleSwarmOptimizer(sphere, [0.0, 0.0], [1.0, 1.0], params).run()
-        params = PSOParameters(num_particles=30, num_iterations=40, random_state=seed)
-        batched = ParticleSwarmOptimizer(
-            sphere, [0.0, 0.0], [1.0, 1.0], params, batch_objective=sphere_batch
-        ).run()
-        assert np.array_equal(scalar.positions, batched.positions)
-        np.testing.assert_array_equal(scalar.fitness, batched.fitness)
-        assert scalar.mean_fitness_history == batched.mean_fitness_history
-        assert scalar.function_evaluations == batched.function_evaluations
-
     def test_batch_nan_treated_as_infeasible(self):
         params = PSOParameters(num_particles=10, num_iterations=5, random_state=0)
         result = ParticleSwarmOptimizer(
-            sphere,
-            [0.0, 0.0],
-            [1.0, 1.0],
-            params,
-            batch_objective=lambda m: np.full(m.shape[0], np.nan),
+            lambda m: np.full(m.shape[0], np.nan), [0.0, 0.0], [1.0, 1.0], params
         ).run()
         assert not np.isfinite(result.fitness).any()
 
